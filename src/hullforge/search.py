@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from functools import lru_cache
+from math import comb
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -414,10 +415,13 @@ def _sym_rank_lut(t: int) -> np.ndarray:
     return lut
 
 
-def _free_block_rows(ids: np.ndarray, k: int, m: int) -> list[np.ndarray]:
-    dtype = np.uint8 if m <= 8 else (np.uint16 if m <= 16 else np.uint32)
-    mask = np.uint64((1 << m) - 1)
-    return [((ids >> np.uint64(i * m)) & mask).astype(dtype) for i in range(k)]
+def _lane_dtype(bits: int) -> np.dtype:
+    """Smallest unsigned dtype holding `bits` bits per lane."""
+    if bits > 64:
+        raise ResourceLimitError(
+            f"{bits}-bit lanes exceed the 64-bit enumeration kernels", limit=64
+        )
+    return np.min_scalar_type((1 << bits) - 1)
 
 
 def _hull_dims(rows: list[np.ndarray], k: int, m: int) -> np.ndarray:
@@ -433,7 +437,7 @@ def _hull_dims(rows: list[np.ndarray], k: int, m: int) -> np.ndarray:
     if k <= m:
         vecs = rows
     else:
-        dtype = np.uint8 if k <= 8 else (np.uint16 if k <= 16 else np.uint32)
+        dtype = _lane_dtype(k)
         lanes = rows[0].shape[0]
         vecs = [np.zeros(lanes, dtype=dtype) for _ in range(m)]
         for i in range(k):
@@ -451,16 +455,6 @@ def _hull_dims(rows: list[np.ndarray], k: int, m: int) -> np.ndarray:
             idx |= bit.astype(np.uint32) << np.uint32(p)
             p += 1
     return (t - _sym_rank_lut(t)[idx]).astype(np.uint8)
-
-
-def _lex_keys(ids: np.ndarray, k: int, m: int) -> np.ndarray:
-    """Row-wise lexicographic order key: first free-block row is most
-    significant, so smaller key = lexicographically smaller generator."""
-    mask = np.uint64((1 << m) - 1)
-    keys = np.zeros(ids.shape, dtype=np.uint64)
-    for i in range(k):
-        keys |= ((ids >> np.uint64(i * m)) & mask) << np.uint64((k - 1 - i) * m)
-    return keys
 
 
 def _min_distances(rows: list[np.ndarray], k: int, prune_below: int) -> np.ndarray:
@@ -497,30 +491,124 @@ def _min_distances(rows: list[np.ndarray], k: int, prune_below: int) -> np.ndarr
 CHUNK_BITS = 18
 
 
+def _sorted_table(r: int, size: int, dtype) -> tuple[list[np.ndarray], np.ndarray]:
+    """Every non-decreasing r-tuple over range(size), in lexicographic
+    order, as r row arrays; above[v] counts the tuples starting at v or
+    higher.
+
+    The tuples starting at v are v followed by the last above[v] tuples
+    one entry shorter, so each added row costs one gather.
+    """
+    values = np.arange(size, dtype=dtype)
+    rows, above = [values], np.arange(size, 0, -1)
+    for _ in range(r - 1):
+        ends = np.cumsum(above)
+        idx = np.arange(ends[-1]) + np.repeat(above[0] - ends, above)
+        rows = [np.repeat(values, above)] + [row[idx] for row in rows]
+        above = np.cumsum(above[::-1])[::-1]
+    return rows, above
+
+
+def _sorted_free_blocks(k: int, m: int) -> Iterator[list[np.ndarray]]:
+    """Every free block with rows a_0 <= a_1 <= ... <= a_{k-1}, each an
+    m-bit integer, in lexicographic order with a_0 most significant.
+
+    Yields chunks of at most 2^CHUNK_BITS lanes, one array per row:
+    C(2^m + k - 1, k) lanes in all.  The last r rows come from one table
+    of sorted r-tuples, with r as large as one chunk holds; the first
+    k - r rows, the heads, come from this generator.  A head ending in v
+    is followed by the table's last above[v] tuples, those starting at v
+    or higher.  A one-row table is range(2^m) itself and is never built.
+    """
+    size, limit = 1 << m, 1 << CHUNK_BITS
+    dtype = _lane_dtype(m)
+    if m:
+        _lane_dtype(k)  # the hull kernel's transposed side packs k bits
+    if comb(size + k - 1, k) >> 63:
+        raise ResourceLimitError(
+            f"C(2^{m}+{k}-1, {k}) sorted free blocks overflow 64-bit lane indices",
+            limit=63,
+        )
+    r = k
+    while r > 1 and comb(size + r - 1, r) > limit:
+        r -= 1
+    table, above = _sorted_table(r, size, dtype) if r > 1 else (None, None)
+    if table is not None and r == k:
+        yield table
+        return
+    for head in _sorted_free_blocks(k - r, m) if k > r else [[]]:
+        last = head[-1].astype(np.int64) if head else np.zeros(1, dtype=np.int64)
+        if table is None:
+            counts, starts = size - last, last
+        else:
+            counts = above[last]
+            starts = above[0] - counts
+        ends = np.cumsum(counts)
+        shift = starts - (ends - counts)  # table index minus lane index
+        total = int(ends[-1])
+        for g0 in range(0, total, limit):
+            g1 = min(g0 + limit, total)
+            j0 = int(np.searchsorted(ends, g0, side="right"))
+            j1 = int(np.searchsorted(ends, g1 - 1, side="right")) + 1
+            lens = np.minimum(ends[j0:j1], g1) - np.maximum(
+                ends[j0:j1] - counts[j0:j1], g0
+            )
+            idx = np.repeat(shift[j0:j1], lens)
+            idx += np.arange(g0, g1)
+            tail = [idx.astype(dtype)] if table is None else [row[idx] for row in table]
+            yield [np.repeat(row[j0:j1], lens) for row in head] + tail
+
+
+def _orderings(rows: list[np.ndarray], k: int, m: int) -> np.ndarray:
+    """Distinct row orders of each sorted free block, k! / prod(mult_j!),
+    as exact integers: after row i it is the count for rows 0..i."""
+    # the products stay below 2^(k m) * k; past int64 use Python integers
+    exact = np.int64 if k * m + k.bit_length() <= 63 else object
+    weights = np.ones(rows[0].shape, dtype=exact)
+    run = np.ones(rows[0].shape, dtype=np.uint8)
+    for i in range(1, k):
+        run = np.where(rows[i] == rows[i - 1], run + 1, 1)
+        weights *= i + 1
+        weights //= run
+    return weights
+
+
 def hull_census(n: int, k: int, cap: int | None = None) -> dict[int, int]:
-    """Count systematic generators by hull dimension; sums to 2^{k(n-k)}."""
+    """Count systematic generators by hull dimension; sums to 2^{k(n-k)}.
+
+    Permuting the rows of the free block A (with the matching identity
+    columns) keeps the code up to equivalence, so only blocks with sorted
+    rows are enumerated, C(2^m + k - 1, k) of them for m = n - k.  Each
+    counts for its number of distinct row orders, k! / prod(mult_j!),
+    where mult_j are the multiplicities of its equal rows.
+    """
     _check_exhaustive_cap(n, k, cap)
     m = n - k
-    total_bits = k * m
-    counts = np.zeros(min(k, m) + 1, dtype=np.int64)
-    for start in range(0, 1 << total_bits, 1 << CHUNK_BITS):
-        stop = min(start + (1 << CHUNK_BITS), 1 << total_bits)
-        ids = np.arange(start, stop, dtype=np.uint64)
-        rows = _free_block_rows(ids, k, m)
+    counts = [0] * (min(k, m) + 1)
+    for rows in _sorted_free_blocks(k, m):
         hs = _hull_dims(rows, k, m)
-        counts += np.bincount(hs, minlength=counts.size)
-    return {h: int(c) for h, c in enumerate(counts) if c}
+        weights = _orderings(rows, k, m)
+        for h in range(len(counts)):
+            counts[h] += int(weights.sum(where=hs == h, initial=0))
+    return {h: c for h, c in enumerate(counts) if c}
 
 
 def exhaustive_codes(
     n: int, k: int, h: int, d_floor: int | None = None, cap: int | None = None
 ) -> OptimalityClaim:
-    """Enumerate every systematic generator and settle the (n, k, h) cell.
+    """Settle the (n, k, h) cell over every systematic generator [I | A].
 
     Returns the h-restricted optimum: status h_optimal with a max-d
     witness when codes with hull dimension h exist (and meet d_floor if
     given), status nonexistence otherwise.  The witness is the max-d
     code whose generator is row-wise lexicographically smallest.
+
+    Permuting the rows of A (with the matching identity columns) gives
+    an equivalent code with the same h and d, so only free blocks with
+    sorted rows are enumerated: C(2^m + k - 1, k) lanes for m = n - k,
+    not 2^{k m}.  The sorted order is the lexicographically smallest of
+    its row permutations, and lanes come in lexicographic order, so the
+    first max-d lane is the witness the full enumeration would pick.
     """
     _check_exhaustive_cap(n, k, cap)
     m = n - k
@@ -531,35 +619,26 @@ def exhaustive_codes(
                 n, k, h, 1, "h_optimal", BitMatrix(n, _candidate_rows(0, k, 0)), "exhaustive"
             )
         return OptimalityClaim(n, k, h, 0, "nonexistence", None, "exhaustive")
+    if h > min(k, m):  # the hull is a subcode of both C and its dual
+        return OptimalityClaim(n, k, h, 0, "nonexistence", None, "exhaustive")
 
     best_d = 0
-    best_key = None
-    best_id = None
-    total_bits = k * m
-    for start in range(0, 1 << total_bits, 1 << CHUNK_BITS):
-        stop = min(start + (1 << CHUNK_BITS), 1 << total_bits)
-        ids = np.arange(start, stop, dtype=np.uint64)
-        rows = _free_block_rows(ids, k, m)
+    best_free = None
+    for rows in _sorted_free_blocks(k, m):
         keep = _hull_dims(rows, k, m) == h
         if not keep.any():
             continue
-        ids = ids[keep]
         rows = [r[keep] for r in rows]
-        dists = _min_distances(rows, k, prune_below=best_d)
-        top = int(dists.max(initial=0))
-        if top < best_d or top == 0:
-            continue
-        cand = dists == top
-        keys = _lex_keys(ids[cand], k, m)
-        at = int(np.argmin(keys))
-        key, cid = int(keys[at]), int(ids[cand][at])
-        if top > best_d or best_key is None or key < best_key:
-            best_d, best_key, best_id = top, key, cid
+        # a later lane only wins with a strictly larger distance
+        dists = _min_distances(rows, k, prune_below=best_d + 1)
+        at = int(np.argmax(dists))
+        if dists[at] > best_d:
+            best_d, best_free = int(dists[at]), [int(r[at]) for r in rows]
 
-    if best_id is None or (d_floor is not None and best_d < d_floor):
+    if best_free is None or (d_floor is not None and best_d < d_floor):
         # either no code has this hull dimension, or none reaches the floor
         return OptimalityClaim(n, k, h, best_d, "nonexistence", None, "exhaustive")
-    witness = BitMatrix(n, _candidate_rows(best_id, k, m))
+    witness = BitMatrix(n, tuple((1 << i) | (a << k) for i, a in enumerate(best_free)))
     return OptimalityClaim(n, k, h, best_d, "h_optimal", witness, "exhaustive")
 
 

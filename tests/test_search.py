@@ -8,10 +8,12 @@ the named oracle values are checked.
 from __future__ import annotations
 
 import collections
+import itertools
 import random
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hullforge import search
@@ -180,7 +182,9 @@ def _pure_census(n, k):
     return {h: c for h, c in counts.items() if c}
 
 
-@pytest.mark.parametrize("n,k", [(4, 2), (5, 2), (6, 3), (5, 5), (4, 1)])
+@pytest.mark.parametrize(
+    "n,k", [(4, 2), (5, 2), (6, 3), (5, 5), (4, 1), (7, 3), (6, 4), (8, 2), (7, 5)]
+)
 def test_census_matches_reference(n, k):
     fast = hull_census(n, k)
     assert fast == _pure_census(n, k)
@@ -258,6 +262,77 @@ def test_exhaustive_cap():
         list(iter_exhaustive(12, 6, 1))
     with pytest.raises(UsageError):
         exhaustive_codes(8, 9, 4)
+
+
+def _oracle_claim(n, k, h):
+    """Max d over iter_exhaustive, then the row-lex-smallest generator."""
+    best = None
+    for code in iter_exhaustive(n, k, h):
+        key = (-code.min_distance(), code.gen.row_bits)
+        if best is None or key < best[0]:
+            best = (key, code)
+    if best is None:
+        return 0, None
+    return -best[0][0], best[1].gen.to_strings()
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_exhaustive_matches_oracle(data):
+    k = data.draw(st.integers(1, 7), label="k")
+    m = data.draw(st.integers(1, min(12 // k, 8 - k)), label="m")
+    h = data.draw(st.integers(0, min(k, m) + 1), label="h")
+    claim = exhaustive_codes(k + m, k, h)
+    d, witness = _oracle_claim(k + m, k, h)
+    assert claim.d_best == d
+    if witness is None:
+        assert claim.status == "nonexistence" and claim.witness is None
+    else:
+        assert claim.status == "h_optimal"
+        assert claim.witness.to_strings() == witness
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 5), st.integers(0, 6))
+def test_sorted_free_blocks_in_lex_order(k, m, chunk_bits):
+    want = list(itertools.combinations_with_replacement(range(1 << m), k))
+    assume(len(want) <= 600)
+    # small chunks split the tables and the heads at every boundary
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "CHUNK_BITS", chunk_bits)
+        lanes = []
+        for chunk in search._sorted_free_blocks(k, m):
+            assert len(chunk) == k and 1 <= chunk[0].size <= 1 << chunk_bits
+            lanes.extend(zip(*(row.tolist() for row in chunk)))
+    assert lanes == want
+
+
+def test_hull_kernel_keeps_bits_past_32():
+    # k = 34 rows of one free bit: the transposed side packs 34 bits per lane
+    k, m = 34, 1
+    free = [1] * 33 + [0]
+    rows = [np.array([a], dtype=np.uint8) for a in free]
+    gen = BitMatrix(k + m, tuple((1 << i) | (a << k) for i, a in enumerate(free)))
+    assert LinearCode(gen).hull_dim() == 1
+    assert int(search._hull_dims(rows, k, m)[0]) == 1
+
+
+@pytest.mark.parametrize("k", [34, 64])
+def test_census_past_32_rows(k):
+    # with one free column, h = wt(a) mod 2; at k = 64 each count is 2^63
+    assert hull_census(k + 1, k, cap=k) == {0: 1 << (k - 1), 1: 1 << (k - 1)}
+
+
+def test_lanes_past_64_bits_are_refused():
+    with pytest.raises(ResourceLimitError):
+        hull_census(66, 65, cap=65)
+    with pytest.raises(ResourceLimitError):
+        hull_census(66, 1, cap=65)
+    with pytest.raises(ResourceLimitError):
+        exhaustive_codes(66, 65, 1, cap=65)
+    # 2^63 lanes would overflow the int64 lane indices
+    with pytest.raises(ResourceLimitError):
+        hull_census(64, 1, cap=63)
 
 
 def test_claim_validation():
