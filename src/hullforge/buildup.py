@@ -23,6 +23,7 @@ from functools import cached_property
 from . import gf2
 from .code import LinearCode
 from .errors import (
+    ClaimViolationError,
     DimensionError,
     ResourceLimitError,
     WrongConstructionError,
@@ -43,6 +44,7 @@ __all__ = [
     "classify_extension",
     "predict_distance",
     "admissible_distances",
+    "predicted_hull",
 ]
 
 
@@ -137,10 +139,11 @@ class BuildResult:
         self.parity_check = parity_check
         self.predicted_hull = predicted_hull
         self.actual_hull = child.hull().h
-        assert self.actual_hull in predicted_hull, (
-            f"construction {kind}: child hull {self.actual_hull} "
-            f"outside predicted {sorted(predicted_hull)}"
-        )
+        if self.actual_hull not in predicted_hull:
+            raise ClaimViolationError(
+                f"construction {kind}: child hull {self.actual_hull} "
+                f"outside predicted {sorted(predicted_hull)}"
+            )
 
     @cached_property
     def coset_weight(self) -> int:
@@ -155,10 +158,11 @@ class BuildResult:
     @cached_property
     def actual_distance(self) -> int:
         d = self.child.min_distance()
-        assert d in self.distance_prediction, (
-            f"construction {self.kind}: child distance {d} outside "
-            f"predicted {sorted(self.distance_prediction)}"
-        )
+        if d not in self.distance_prediction:
+            raise ClaimViolationError(
+                f"construction {self.kind}: child distance {d} outside "
+                f"predicted {sorted(self.distance_prediction)}"
+            )
         return d
 
     def __repr__(self) -> str:
@@ -175,12 +179,14 @@ def _require_parity(ext: ExtensionVector, want: int, kind: str) -> None:
         )
 
 
-def _assemble(
-    seed: LinearCode,
-    ext: ExtensionVector,
-    kind: ConstructionKind,
-    predicted: frozenset,
-) -> BuildResult:
+def predicted_hull(kind: ConstructionKind, ell: int) -> frozenset:
+    """Child hull dimensions the construction admits for a seed with hull ell."""
+    if kind is ConstructionKind.III:
+        return frozenset({ell, ell + 1, ell + 2})
+    return frozenset({ell if kind is ConstructionKind.IV else ell + 1})
+
+
+def _assemble(seed: LinearCode, ext: ExtensionVector, kind: ConstructionKind) -> BuildResult:
     n, k = seed.n, seed.k
     x = ext.x.bits
     y = ext.y.bits
@@ -207,14 +213,15 @@ def _assemble(
             for j, s in enumerate(seed.parity_check().row_bits):
                 h_rows.append(((z >> j & 1) << 1) | (s << 2))  # (0 z_j | s_j)
     child = LinearCode(BitMatrix(n + 2, tuple(gen_rows)))
-    assert child.k == k + 1 and not child.repaired
+    if child.k != k + 1 or child.repaired:
+        raise ClaimViolationError(f"construction {kind}: child rank {child.k}, not {k + 1}")
     return BuildResult(
         seed=seed,
         kind=kind,
         ext=ext,
         child=child,
         parity_check=BitMatrix(n + 2, tuple(h_rows)),
-        predicted_hull=predicted,
+        predicted_hull=predicted_hull(kind, seed.hull().h),
     )
 
 
@@ -222,8 +229,7 @@ def construct_I(c: LinearCode, x: BitVector) -> BuildResult:
     """Odd x: child hull is exactly l+1."""
     ext = ExtensionVector.bind(c, x)
     _require_parity(ext, 1, "I")
-    ell = c.hull().h
-    return _assemble(c, ext, ConstructionKind.I, frozenset({ell + 1}))
+    return _assemble(c, ext, ConstructionKind.I)
 
 
 def construct_II(c: LinearCode, x: BitVector) -> BuildResult:
@@ -234,8 +240,7 @@ def construct_II(c: LinearCode, x: BitVector) -> BuildResult:
         raise WrongConstructionError(
             "x is not orthogonal to the code (y != 0); use construction III"
         )
-    ell = c.hull().h
-    return _assemble(c, ext, ConstructionKind.II, frozenset({ell + 1}))
+    return _assemble(c, ext, ConstructionKind.II)
 
 
 def construct_III(c: LinearCode, x: BitVector) -> BuildResult:
@@ -246,18 +251,14 @@ def construct_III(c: LinearCode, x: BitVector) -> BuildResult:
         raise WrongConstructionError(
             "x is orthogonal to the code (y = 0); use construction II"
         )
-    ell = c.hull().h
-    return _assemble(
-        c, ext, ConstructionKind.III, frozenset({ell, ell + 1, ell + 2})
-    )
+    return _assemble(c, ext, ConstructionKind.III)
 
 
 def construct_IV(c: LinearCode, x: BitVector) -> BuildResult:
     """Even x with the alternative head column: child hull stays at l."""
     ext = ExtensionVector.bind(c, x)
     _require_parity(ext, 0, "IV")
-    ell = c.hull().h
-    return _assemble(c, ext, ConstructionKind.IV, frozenset({ell}))
+    return _assemble(c, ext, ConstructionKind.IV)
 
 
 _BUILDERS = {

@@ -22,6 +22,7 @@ from .eaqecc import (
     singleton_gap,
 )
 from .errors import (
+    ClaimViolationError,
     CorpusValidationError,
     HullforgeError,
     ResourceLimitError,
@@ -389,7 +390,7 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceLimitError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_LIMIT
-    except CorpusValidationError as e:
+    except (CorpusValidationError, ClaimViolationError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_MISMATCH
     except (HullforgeError, OSError) as e:

@@ -10,6 +10,7 @@ __all__ = [
     "WrongConstructionError",
     "NoRankGainError",
     "ResourceLimitError",
+    "ClaimViolationError",
     "CorpusFormatError",
     "CorpusValidationError",
     "UsageError",
@@ -46,6 +47,10 @@ class ResourceLimitError(HullforgeError, RuntimeError):
     def __init__(self, message: str, limit: int | None = None):
         super().__init__(message)
         self.limit = limit
+
+
+class ClaimViolationError(HullforgeError, RuntimeError):
+    """A computed code contradicts a construction claim (raised, so python -O keeps it)."""
 
 
 class CorpusFormatError(HullforgeError, ValueError):

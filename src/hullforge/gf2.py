@@ -46,7 +46,7 @@ def bits_from01(s: str) -> int:
 
 
 def bits_to01(bits: int, n: int) -> str:
-    return "".join("1" if bits >> i & 1 else "0" for i in range(n))
+    return format(bits, f"0{n}b")[::-1] if n else ""
 
 
 def parity(x: int) -> int:
@@ -56,30 +56,24 @@ def parity(x: int) -> int:
 def _rref_ints(rows: Sequence[int], ncols: int) -> tuple[list[int], list[int]]:
     """Reduced row echelon form.  Returns (rows, pivot columns).
 
-    Deterministic: columns are processed left to right, the pivot row is
-    the first remaining row with a 1 in the column.  Zero rows sink to
-    the bottom; the output has the same number of rows as the input.
+    Rows join a fully reduced basis keyed by pivot (lowest set bit, the
+    leftmost column); the RREF is unique, so sorting by pivot gives it.
+    Zero rows sink to the bottom; the output keeps the input's row count.
     """
-    out = list(rows)
-    pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        sel = -1
-        for i in range(r, len(out)):
-            if out[i] >> col & 1:
-                sel = i
-                break
-        if sel < 0:
-            continue
-        out[r], out[sel] = out[sel], out[r]
-        for i in range(len(out)):
-            if i != r and out[i] >> col & 1:
-                out[i] ^= out[r]
-        pivots.append(col)
-        r += 1
-        if r == len(out):
-            break
-    return out, pivots
+    basis: dict[int, int] = {}  # pivot bit -> row
+    for v in rows:
+        for low, b in basis.items():
+            if v & low:
+                v ^= b
+        if v:
+            low = v & -v
+            for other, b in basis.items():
+                if b & low:
+                    basis[other] = b ^ v
+            basis[low] = v
+    lows = sorted(basis)
+    out = [basis[low] for low in lows] + [0] * (len(rows) - len(lows))
+    return out, [low.bit_length() - 1 for low in lows]
 
 
 def _rank_ints(rows: Iterable[int]) -> int:
@@ -309,7 +303,7 @@ def gram(m: BitMatrix) -> BitMatrix:
     for a in m.row_bits:
         v = 0
         for j, b in enumerate(m.row_bits):
-            v |= parity(a & b) << j
+            v |= ((a & b).bit_count() & 1) << j
         out.append(v)
     return BitMatrix(m.nrows, tuple(out))
 

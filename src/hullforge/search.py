@@ -1,10 +1,11 @@
 """Desk-scale searches: extension sweeps, exhaustive enumeration, equivalence.
 
 Two execution paths coexist on purpose.  The reference path builds real
-child codes row by row and asks them for their own parameters; the fast
-path computes the same numbers with vectorized bit tricks.  The fast
-path is validated against the reference path in the test suite and the
-two are never merged, so a bug in one cannot hide in the other.
+child codes with construct() and asks them for their own parameters; the
+fast path computes the same numbers with vectorized bit tricks and writes
+each kept child's rows in closed form, never calling construct().  The
+fast path is validated against the reference path in the test suite and
+the two are never merged, so a bug in one cannot hide in the other.
 """
 
 from __future__ import annotations
@@ -17,10 +18,10 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .buildup import ConstructionKind, construct
+from .buildup import ConstructionKind, construct, predicted_hull
 from .code import LinearCode
-from .errors import DimensionError, ResourceLimitError, UsageError
-from .gf2 import BitMatrix, BitVector, dot, gram
+from .errors import ClaimViolationError, DimensionError, ResourceLimitError, UsageError
+from .gf2 import BitMatrix, BitVector, _rank_ints, dot, gram
 
 __all__ = [
     "SweepRecord",
@@ -42,9 +43,11 @@ __all__ = [
 SWEEP_CAP = 20
 EXHAUSTIVE_CAP = 22
 EQUIV_CAP = 16
+SYM_RANK_CAP = 6  # _sym_rank_lut(t) fills 2^(t(t+1)/2) entries: 0.2 s at t=5, 20 s at 6
 NODE_CAP = 10_000_000
 
-_KIND_ORDER = {k: i for i, k in enumerate(ConstructionKind)}
+_KINDS = tuple(ConstructionKind)
+_KIND_ORDER = {k: i for i, k in enumerate(_KINDS)}
 _CLAIM_STATUSES = ("optimal", "h_optimal", "lower_bound", "nonexistence")
 _CLAIM_METHODS = ("sweep", "exhaustive", "corpus")
 
@@ -165,26 +168,10 @@ def _child_distance_arrays(seed: LinearCode):
 def _rank3_table(gram_rows: tuple[int, ...]) -> tuple[int, ...]:
     """rank(Gc + y y^T) for every y, for a fixed seed Gram matrix."""
     k = len(gram_rows)
-    out = []
-    for y in range(1 << k):
-        rows = [gram_rows[i] ^ ((y >> i & 1) and y) for i in range(k)]
-        out.append(_tiny_rank(rows))
-    return tuple(out)
-
-
-def _tiny_rank(rows: Sequence[int]) -> int:
-    rank = 0
-    rows = list(rows)
-    for i in range(len(rows)):
-        v = rows[i]
-        if not v:
-            continue
-        rank += 1
-        low = v & -v
-        for j in range(i + 1, len(rows)):
-            if rows[j] & low:
-                rows[j] ^= v
-    return rank
+    return tuple(
+        _rank_ints([gram_rows[i] ^ ((y >> i & 1) and y) for i in range(k)])
+        for y in range(1 << k)
+    )
 
 
 def _child_hull_arrays(seed: LinearCode, ypack):
@@ -225,6 +212,67 @@ def sweep_children(seed: LinearCode):
     return h, d, dc, ypack, odd
 
 
+def _lane_rref(rows: list[np.ndarray], ncols: int) -> np.ndarray:
+    """RREF of one matrix per lane, rows[i][lane] being its row i: slot c
+    of the (lanes, ncols) result holds the reduced row with pivot c, or 0."""
+    basis = [np.zeros_like(rows[0]) for _ in range(ncols)]
+    for v in rows:
+        for c in range(ncols):
+            hit = v >> c & 1
+            basis[c] = np.where((hit == 1) & (basis[c] == 0), v, basis[c])
+            v = v ^ hit * basis[c]  # a row just stored clears itself
+    for c in range(ncols - 2, -1, -1):
+        for c2 in range(c + 1, ncols):
+            basis[c] ^= (basis[c] >> c2 & 1) * basis[c2]
+    return np.stack(basis, axis=1)
+
+
+def _sweep_records(seed: LinearCode, sid: str, target_h: int, min_d: int, kinds) -> list:
+    """Fast path: x by masks, child rows in closed form over the seed's
+    canonical rows r_i (y_i = x . r_i is bit i of ypack), one RREF each.
+    Child rank and Gram hull are checked against the kernel and the claim."""
+    n, k = seed.n, seed.k
+    h_arr, d_arr, _dc, ypack, odd = sweep_children(seed)
+    applicable = (odd, ~odd & (ypack == 0), ~odd & (ypack != 0), ~odd)
+    keep = np.zeros((1 << n, len(_KINDS)), dtype=bool)
+    for kind in kinds:
+        i = _KIND_ORDER[kind]
+        keep[:, i] = applicable[i] & (h_arr[kind] == target_h) & (d_arr[kind] >= min_d)
+    xs, ks = np.nonzero(keep)  # x ascending, then kind
+    # (1 0 | x) over (y_i y_i | r_i) for I/IV, (1 1 | x) over (y_i 0 | r_i) for II/III
+    split = ((ks == 1) | (ks == 2)).astype(np.uint32)
+    top, body = xs.astype(np.uint32) << 2 | 1 | split << 1, 3 - 2 * split
+    rows = seed.canonical_gen().row_bits
+    child = [top] + [(ypack[xs] >> i & 1) * body | r << 2 for i, r in enumerate(rows)]
+    gram_rows = [np.zeros_like(a) for a in child]
+    for i, a in enumerate(child):
+        for j in range(i, k + 1):
+            bit = (np.bitwise_count(a & child[j]) & 1).astype(np.uint32)
+            gram_rows[i] |= bit << j
+            gram_rows[j] |= bit << i
+    echelon = _lane_rref(child, n + 2)
+    hull = k + 1 - np.count_nonzero(_lane_rref(gram_rows, k + 1), axis=1)
+    ok = (np.count_nonzero(echelon, axis=1) == k + 1) & (hull == target_h)
+    for kind in kinds:
+        allowed = list(predicted_hull(kind, seed.hull_dim()))
+        ok &= (ks != _KIND_ORDER[kind]) | np.isin(hull, allowed)
+    if not ok.all():
+        at = int(np.argmin(ok))
+        kind = _KINDS[ks[at]]
+        msg = f"rank {np.count_nonzero(echelon[at])} (want {k + 1}), hull {hull[at]} (kernel"
+        msg += f" {target_h}, predicted {sorted(predicted_hull(kind, seed.hull_dim()))})"
+        raise ClaimViolationError(f"sweep child {kind} at x={xs[at]}: {msg}")
+    canon = echelon[echelon != 0].reshape(-1, k + 1).tolist()
+    ds = np.stack([d_arr[kind] for kind in _KINDS])[ks, xs].tolist()
+    return [
+        SweepRecord(
+            sid, BitVector(n, x), _KINDS[i], (n + 2, k + 1, d, target_h),
+            BitMatrix(n + 2, tuple(r)),
+        )
+        for x, i, d, r in zip(xs.tolist(), ks.tolist(), ds, canon)
+    ]
+
+
 def sweep_extensions(
     seed: LinearCode,
     target_h: int,
@@ -252,37 +300,10 @@ def sweep_extensions(
     sid = seed_id if seed_id is not None else _seed_id(seed)
     n, k = seed.n, seed.k
 
-    records = []
     if engine == "auto":
-        h_arr, d_arr, _dc, ypack, odd = sweep_children(seed)
-        for xbits in range(1 << n):
-            is_odd = bool(odd[xbits])
-            y_zero = ypack[xbits] == 0
-            for kind in kinds:
-                if not _applicable(kind, is_odd, y_zero):
-                    continue
-                if int(h_arr[kind][xbits]) != target_h:
-                    continue
-                if int(d_arr[kind][xbits]) < min_d:
-                    continue
-                x = BitVector(n, xbits)
-                child = construct(seed, x, kind).child
-                records.append(
-                    SweepRecord(
-                        seed_id=sid,
-                        x=x,
-                        kind=kind,
-                        child_params=(
-                            n + 2,
-                            k + 1,
-                            int(d_arr[kind][xbits]),
-                            target_h,
-                        ),
-                        canonical_gen=child.canonical_gen(),
-                    )
-                )
-        return records
+        return _sweep_records(seed, sid, target_h, min_d, kinds)
 
+    records = []
     for xbits in range(1 << n):
         x = BitVector(n, xbits)
         is_odd = dot(x, x) == 1
@@ -395,23 +416,18 @@ def iter_exhaustive(n: int, k: int, h: int, cap: int | None = None) -> Iterator[
 @lru_cache(maxsize=8)
 def _sym_rank_lut(t: int) -> np.ndarray:
     """rank of every t x t symmetric matrix, indexed by packed upper bits."""
-    if t == 0:
-        return np.zeros(1, dtype=np.uint8)
-    pos = {}
-    p = 0
-    for i in range(t):
-        for j in range(i, t):
-            pos[(i, j)] = p
-            p += 1
-    lut = np.zeros(1 << p, dtype=np.uint8)
-    for idx in range(1 << p):
+    if t > SYM_RANK_CAP:
+        msg = f"2^{t * (t + 1) // 2}-entry rank table: min(k, n-k) exceeds {SYM_RANK_CAP}"
+        raise ResourceLimitError(msg, limit=SYM_RANK_CAP)
+    pos = list(enumerate((i, j) for i in range(t) for j in range(i, t)))
+    lut = np.zeros(1 << len(pos), dtype=np.uint8)
+    for idx in range(lut.size):
         rows = [0] * t
-        for (i, j), b in pos.items():
+        for b, (i, j) in pos:
             if idx >> b & 1:
                 rows[i] |= 1 << j
-                if i != j:
-                    rows[j] |= 1 << i
-        lut[idx] = _tiny_rank(rows)
+                rows[j] |= 1 << i
+        lut[idx] = _rank_ints(rows)
     return lut
 
 
@@ -434,6 +450,7 @@ def _hull_dims(rows: list[np.ndarray], k: int, m: int) -> np.ndarray:
     t = min(k, m)
     if t == 0:
         return np.zeros(rows[0].shape if rows else (1,), dtype=np.uint8)
+    lut = _sym_rank_lut(t)
     if k <= m:
         vecs = rows
     else:
@@ -454,7 +471,7 @@ def _hull_dims(rows: list[np.ndarray], k: int, m: int) -> np.ndarray:
                 bit = np.bitwise_count(vecs[i] & vecs[j]) & 1
             idx |= bit.astype(np.uint32) << np.uint32(p)
             p += 1
-    return (t - _sym_rank_lut(t)[idx]).astype(np.uint8)
+    return (t - lut[idx]).astype(np.uint8)
 
 
 def _min_distances(rows: list[np.ndarray], k: int, prune_below: int) -> np.ndarray:

@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -21,7 +26,7 @@ from hullforge.buildup import (
     predict_distance,
 )
 from hullforge.code import LinearCode, from_generator
-from hullforge.errors import WrongConstructionError, WrongParityError
+from hullforge.errors import ClaimViolationError, WrongConstructionError, WrongParityError
 from hullforge.gf2 import BitMatrix, BitVector
 
 SEED_10_6_3 = [
@@ -296,3 +301,53 @@ def test_child_dimensions_always(seed):
         assert res.child.n == seed.n + 2
         assert res.child.k == seed.k + 1
         _check_parity_relation(res)
+
+
+# A BuildResult whose predicted hull set excludes the real child hull.
+WRONG_PREDICTION = textwrap.dedent(
+    """
+    from hullforge.buildup import BuildResult, ConstructionKind, ExtensionVector, construct
+    from hullforge.code import LinearCode
+    from hullforge.gf2 import BitVector
+
+    seed = LinearCode.from_strings(%r)
+    x = BitVector.from01("0000011000")
+    res = construct(seed, x, ConstructionKind.III)
+    BuildResult(
+        seed, res.kind, ExtensionVector.bind(seed, x), res.child, res.parity_check,
+        predicted_hull=frozenset({res.actual_hull + 1}),
+    )
+    """
+    % SEED_10_6_3
+)
+
+
+def test_wrong_hull_prediction_raises():
+    seed = LinearCode.from_strings(SEED_10_6_3)
+    x = BitVector.from01("0000011000")
+    res = construct(seed, x, ConstructionKind.III)
+    with pytest.raises(ClaimViolationError, match="outside predicted"):
+        BuildResult(
+            seed, res.kind, res.extension, res.child, res.parity_check,
+            predicted_hull=frozenset({res.actual_hull + 1}),
+        )
+
+
+def test_wrong_distance_prediction_raises():
+    seed = LinearCode.from_strings(SEED_10_6_3)
+    res = construct(seed, BitVector.from01("0000011000"), ConstructionKind.III)
+    res.distance_prediction = frozenset({99})  # overrides the cached property
+    with pytest.raises(ClaimViolationError, match="child distance"):
+        res.actual_distance
+
+
+def test_claim_checks_survive_optimization():
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", WRONG_PREDICTION],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode != 0
+    assert "ClaimViolationError" in proc.stderr

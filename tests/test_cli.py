@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+from hullforge import search
 from hullforge.cli import EXIT_LIMIT, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
 from hullforge.corpus import data_root
 
@@ -102,6 +103,13 @@ def test_sweep_kind_filter(capsys):
     assert rc == EXIT_OK
     body = out.splitlines()[:-1]
     assert all(line.split()[3] == "II" for line in body)
+
+
+def test_sweep_claim_violation_is_a_failed_verification(capsys, monkeypatch):
+    monkeypatch.setattr(search, "predicted_hull", lambda kind, ell: frozenset())
+    rc = main(["sweep", SEED, "--target-h", "2", "--min-d", "3"])
+    assert rc == EXIT_MISMATCH
+    assert "predicted" in capsys.readouterr().err
 
 
 def test_exhaustive_claim_line(capsys):

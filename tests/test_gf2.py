@@ -239,3 +239,77 @@ def test_intersection_dimension_formula(a, b):
     for row in inter.rows:
         assert gf2.in_row_space(a, row)
         assert gf2.in_row_space(b, row)
+
+
+# ---------------------------------------------------------------------------
+# kernels against plain reference versions
+
+
+def _column_scan_rref(rows, ncols):
+    """Textbook RREF: columns left to right, first remaining row as pivot."""
+    out = list(rows)
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        sel = next((i for i in range(r, len(out)) if out[i] >> col & 1), None)
+        if sel is None:
+            continue
+        out[r], out[sel] = out[sel], out[r]
+        for i in range(len(out)):
+            if i != r and out[i] >> col & 1:
+                out[i] ^= out[r]
+        pivots.append(col)
+        r += 1
+    return out, pivots
+
+
+def _char_loop_01(bits, n):
+    return "".join("1" if bits >> i & 1 else "0" for i in range(n))
+
+
+@st.composite
+def row_lists(draw):
+    """Rows over ncols in 0..14, with zero rows and dependent rows mixed in."""
+    ncols = draw(st.integers(0, 14))
+    rows = draw(st.lists(st.integers(0, (1 << ncols) - 1), max_size=10))
+    for _ in range(draw(st.integers(0, 3))):
+        if not rows:
+            break
+        i = draw(st.integers(0, len(rows) - 1))
+        j = draw(st.integers(0, len(rows) - 1))
+        kind = draw(st.sampled_from(["zero", "copy", "sum"]))
+        extra = {"zero": 0, "copy": rows[i], "sum": rows[i] ^ rows[j]}[kind]
+        rows.insert(draw(st.integers(0, len(rows))), extra)
+    return rows, ncols
+
+
+@given(row_lists())
+@settings(max_examples=400, deadline=None)
+def test_rref_kernel_matches_column_scan(case):
+    rows, ncols = case
+    assert gf2._rref_ints(rows, ncols) == _column_scan_rref(rows, ncols)
+
+
+@pytest.mark.parametrize(
+    "rows, ncols",
+    [([], 0), ([], 5), ([0, 0], 0), ([0, 0, 0], 4), ([5, 5, 0, 5], 3), ([6, 3, 5], 3)],
+)
+def test_rref_kernel_edge_cases(rows, ncols):
+    assert gf2._rref_ints(rows, ncols) == _column_scan_rref(rows, ncols)
+    out, _ = gf2._rref_ints(rows, ncols)
+    assert len(out) == len(rows)
+
+
+@given(st.integers(0, 70).flatmap(lambda n: st.tuples(st.integers(0, (1 << n) - 1), st.just(n))))
+@settings(max_examples=400, deadline=None)
+def test_bits_to01_matches_char_loop(case):
+    bits, n = case
+    assert gf2.bits_to01(bits, n) == _char_loop_01(bits, n)
+    assert gf2.bits_from01(gf2.bits_to01(bits, n)) == bits
+
+
+def test_bits_to01_empty_and_leading_zeros():
+    assert gf2.bits_to01(0, 0) == ""
+    assert gf2.bits_to01(0, 3) == "000"
+    assert gf2.bits_to01(1, 4) == "1000"
+    assert gf2.bits_to01(8, 4) == "0001"

@@ -10,6 +10,7 @@ from __future__ import annotations
 import collections
 import itertools
 import random
+import time
 
 import numpy as np
 import pytest
@@ -20,7 +21,12 @@ from hullforge import search
 from hullforge.buildup import ConstructionKind, construct
 from hullforge.code import LinearCode
 from hullforge.corpus import by_label, load_corpus
-from hullforge.errors import DimensionError, ResourceLimitError, UsageError
+from hullforge.errors import (
+    ClaimViolationError,
+    DimensionError,
+    ResourceLimitError,
+    UsageError,
+)
 from hullforge.gf2 import BitMatrix, BitVector
 from hullforge.search import (
     EquivalenceVerdict,
@@ -143,6 +149,37 @@ def test_sweep_cap():
 def test_sweep_rejects_unknown_engine(seed_10_6_3):
     with pytest.raises(UsageError):
         sweep_extensions(seed_10_6_3, 2, engine="guess")
+
+
+@st.composite
+def sweep_seeds(draw):
+    """A random seed code with n <= 8 (dependent rows are dropped)."""
+    n = draw(st.integers(1, 8))
+    k = draw(st.integers(1, n))
+    rows = draw(st.lists(st.integers(1, (1 << n) - 1), min_size=k, max_size=k))
+    return LinearCode(BitMatrix(n, tuple(rows)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    sweep_seeds(),
+    st.sets(st.sampled_from(list(ConstructionKind))),
+    st.integers(0, 10),
+)
+def test_sweep_engines_agree_on_random_seeds(seed, kinds, min_d):
+    for target_h in range(seed.k + 2):
+        auto = sweep_extensions(seed, target_h, min_d, kinds=kinds)
+        ref = sweep_extensions(seed, target_h, min_d, kinds=kinds, engine="reference")
+        assert [format_sweep_record(r) for r in auto] == [
+            format_sweep_record(r) for r in ref
+        ]
+
+
+def test_sweep_checks_each_child_against_the_claim(seed_10_6_3, monkeypatch):
+    # a wrong predicted hull set must stop the fast path, not pass silently
+    monkeypatch.setattr(search, "predicted_hull", lambda kind, ell: frozenset({ell + 5}))
+    with pytest.raises(ClaimViolationError, match="predicted"):
+        sweep_extensions(seed_10_6_3, 2, min_d=3, kinds=[ConstructionKind.III])
 
 
 def test_best_by_sweep_from_bundled_seed(entries):
@@ -333,6 +370,18 @@ def test_lanes_past_64_bits_are_refused():
     # 2^63 lanes would overflow the int64 lane indices
     with pytest.raises(ResourceLimitError):
         hull_census(64, 1, cap=63)
+
+
+def test_hull_rank_table_is_capped_on_its_cost():
+    # min(k, n-k) = 7 passes the k(n-k) gate but needs a 2^28-entry table
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="rank table"):
+        hull_census(14, 7, cap=49)
+    with pytest.raises(ResourceLimitError, match="rank table"):
+        exhaustive_codes(14, 7, 1, cap=49)
+    assert time.perf_counter() - start < 1.0
+    # the hull side still settles h > min(k, n-k) without a table
+    assert exhaustive_codes(14, 7, 8, cap=49).status == "nonexistence"
 
 
 def test_claim_validation():
