@@ -138,7 +138,7 @@ class BuildResult:
         self.child = child
         self.parity_check = parity_check
         self.predicted_hull = predicted_hull
-        self.actual_hull = child.hull().h
+        self.actual_hull = child.hull_dim()
         if self.actual_hull not in predicted_hull:
             raise ClaimViolationError(
                 f"construction {kind}: child hull {self.actual_hull} "
@@ -221,7 +221,7 @@ def _assemble(seed: LinearCode, ext: ExtensionVector, kind: ConstructionKind) ->
         ext=ext,
         child=child,
         parity_check=BitMatrix(n + 2, tuple(h_rows)),
-        predicted_hull=predicted_hull(kind, seed.hull().h),
+        predicted_hull=predicted_hull(kind, seed.hull_dim()),
     )
 
 

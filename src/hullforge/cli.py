@@ -16,6 +16,7 @@ from .buildup import ConstructionKind, classify_extension, construct
 from .code import LinearCode
 from .eaqecc import (
     EaqeccParams,
+    _format_grid,
     derive,
     format_quantum_table,
     quantum_table_from_cells,
@@ -42,7 +43,6 @@ EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_LIMIT = 3
 
-ODD_TABLE_HULL = {"T1": 1, "T3": 2, "T5": 3, "T7": 4, "T9": 5}
 EVEN_TO_ODD = {"T2": "T1", "T4": "T3", "T6": "T5", "T8": "T7", "T10": "T9"}
 ALL_TABLES = tuple(f"T{i}" for i in range(1, 12))
 
@@ -162,36 +162,9 @@ def cmd_equiv(args) -> int:
 
 
 def _classical_grid(cells: list[corpus.TableCell], fmt: str) -> str:
-    ns = sorted({c.n for c in cells})
-    ks = range(min(c.k for c in cells), max(c.k for c in cells) + 1)
-    index = {(c.n, c.k): c for c in cells}
-    header = ["n/k"] + [str(k) for k in ks]
-    body = []
-    for n in ns:
-        line = [str(n)]
-        for k in ks:
-            cell = index.get((n, k))
-            if cell is None:
-                line.append("")
-            else:
-                line.append(("" if cell.exact else ">=") + str(cell.d))
-        body.append(line)
-    if fmt == "csv":
-        return "\n".join(",".join(line) for line in [header] + body) + "\n"
-    if fmt == "md":
-        out = ["| " + " | ".join(header) + " |", "|" + "---|" * len(header)]
-        out += ["| " + " | ".join(line) + " |" for line in body]
-        return "\n".join(out) + "\n"
-    widths = [
-        max(len(line[i]) for line in [header] + body) for i in range(len(header))
-    ]
-    return (
-        "\n".join(
-            "  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip()
-            for line in [header] + body
-        )
-        + "\n"
-    )
+    texts = {(c.n, c.k): ("" if c.exact else ">=") + str(c.d) for c in cells}
+    ks = [k for _, k in texts]
+    return _format_grid(texts, range(min(ks), max(ks) + 1), fmt)
 
 
 def _check_odd_table(
@@ -199,7 +172,7 @@ def _check_odd_table(
     cells: list[corpus.TableCell],
     entries: list[corpus.CorpusEntry],
 ) -> tuple[int, list[str]]:
-    h = ODD_TABLE_HULL[table_id]
+    h = cells[0].h
     index = {(c.n, c.k): c for c in cells}
     witnessed = 0
     mismatches = []
@@ -226,8 +199,8 @@ def _check_even_table(
     source_cells: list[corpus.TableCell],
     entries: list[corpus.CorpusEntry],
 ) -> tuple[int, list[str]]:
-    h = ODD_TABLE_HULL[EVEN_TO_ODD[table_id]]
     table = quantum_table_from_cells(source_cells)
+    h = table.h
     witnessed = 0
     mismatches = []
     for entry in entries:
@@ -280,7 +253,7 @@ def cmd_reproduce(args) -> int:
     tables = [args.table] if args.table else list(ALL_TABLES)
     total_mismatches = []
     for table_id in tables:
-        if table_id in ODD_TABLE_HULL:
+        if table_id in corpus.TABLE_IDS:
             cells = by_table[table_id]
             if args.table:
                 print(_classical_grid(cells, args.format), end="")

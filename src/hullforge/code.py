@@ -1,9 +1,12 @@
 """Linear codes over GF(2): duality, hull, distance, cosets, covering radius.
 
-A LinearCode wraps a full-rank generator matrix.  Derived data (dual,
-hull report, weight distribution) is computed on first request and
-cached; all cached values are immutable, so a warm cache never changes
-an answer.
+A LinearCode wraps a full-rank generator matrix.  Derived data (hull
+dimension, dual, hull report, weight distribution) is computed on first
+request and cached; all cached values are immutable, so a warm cache
+never changes an answer.  The hull dimension is k - rank(G G^T) alone;
+the hull report's Zassenhaus basis, and the dual it needs, are built
+only when hull() is called, and a basis whose size disagrees with the
+Gram rank raises ClaimViolationError.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from typing import Iterator, Mapping, Sequence
 
 from . import gf2
 from .errors import (
+    ClaimViolationError,
     DimensionError,
     InvalidCodeError,
     NoRankGainError,
@@ -173,18 +177,26 @@ class LinearCode:
         return self.dual().gen
 
     @cached_property
+    def _hull_dim(self) -> int:
+        return self.k - gf2.rank(gf2.gram(self.gen))
+
+    def hull_dim(self) -> int:
+        """k - rank(G G^T): the hull is the kernel of the Gram form on C."""
+        return self._hull_dim
+
+    @cached_property
     def _hull_report(self) -> HullReport:
-        h_product = self.k - gf2.rank(gf2.gram(self.gen))
+        h = self.hull_dim()
         if self.k == self.n:
             # dual is {0}; the intersection is empty
             basis = BitMatrix(self.n, ())
         else:
             basis = gf2.row_space_intersection(self.gen, self.dual().gen)
-        assert basis.nrows == h_product, (
-            f"hull disagreement: product rank gives {h_product}, "
-            f"intersection gives {basis.nrows}"
-        )
-        h = h_product
+        if basis.nrows != h:
+            raise ClaimViolationError(
+                f"hull disagreement: product rank gives {h}, "
+                f"intersection gives {basis.nrows}"
+            )
         return HullReport(
             h=h,
             basis=basis,
@@ -194,10 +206,8 @@ class LinearCode:
         )
 
     def hull(self) -> HullReport:
+        """Hull report with a Zassenhaus basis of C ∩ C⊥, built on first call."""
         return self._hull_report
-
-    def hull_dim(self) -> int:
-        return self.hull().h
 
     # --- enumeration-backed quantities ------------------------------------
 
@@ -279,7 +289,10 @@ class LinearCode:
                     radius = w
                     if remaining == 0:
                         break
-        assert remaining == 0
+        if remaining:
+            raise ClaimViolationError(
+                f"{remaining} of 2^{r} syndromes have no coset leader of weight <= {self.n}"
+            )
         return radius
 
     # --- lengthening by one coordinate ------------------------------------

@@ -14,7 +14,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .code import LinearCode
 from .corpus import TableCell
-from .errors import UsageError
+from .errors import ClaimViolationError, UsageError
 
 __all__ = [
     "EaqeccParams",
@@ -97,8 +97,8 @@ def derive(code: LinearCode) -> DerivationPair:
     n, k = code.n, code.k
     h = code.hull_dim()
     d = code.min_distance()
-    # the hull lies inside the dual, so h <= n - k for any real code
-    assert h <= n - k or k == n
+    if h > n - k:  # the hull lies inside the dual, so this holds for every code
+        raise ClaimViolationError(f"[{n},{k}] code with hull dimension {h} > n - k")
     primal = EaqeccParams(n, k - h, d, n - k - h, degenerate=(k - h == 0))
     if k == n:
         return DerivationPair(primal, None, note="full-space code has no dual")
@@ -185,15 +185,17 @@ def format_quantum_table(table: QuantumTable, fmt: str = "text") -> str:
     """Render the grid; fmt is text, csv, or md."""
     if not table.cells:
         return ""
-    ns = sorted({n for n, _ in table.cells})
-    cols = range(0, max(kl for _, kl in table.cells) + 1)
+    texts = {key: cell.text() for key, cell in table.cells.items()}
+    return _format_grid(texts, range(0, max(kl for _, kl in texts) + 1), fmt)
+
+
+def _format_grid(texts: Mapping[tuple[int, int], str], cols: range, fmt: str) -> str:
+    """One row per n, one column per entry of cols; fmt is text, csv, or md."""
     header = ["n/k"] + [str(c) for c in cols]
-    body = []
-    for n in ns:
-        row = table.row(n)
-        body.append(
-            [str(n)] + [row[c].text() if c in row else "" for c in cols]
-        )
+    body = [
+        [str(n)] + [texts.get((n, c), "") for c in cols]
+        for n in sorted({n for n, _ in texts})
+    ]
     if fmt == "csv":
         return "\n".join(",".join(line) for line in [header] + body) + "\n"
     if fmt == "md":

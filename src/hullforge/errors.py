@@ -50,7 +50,8 @@ class ResourceLimitError(HullforgeError, RuntimeError):
 
 
 class ClaimViolationError(HullforgeError, RuntimeError):
-    """A computed code contradicts a construction claim (raised, so python -O keeps it)."""
+    """A computed result contradicts a construction claim or a proven identity
+    (raised, so python -O keeps it)."""
 
 
 class CorpusFormatError(HullforgeError, ValueError):

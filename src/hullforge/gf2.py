@@ -76,20 +76,6 @@ def _rref_ints(rows: Sequence[int], ncols: int) -> tuple[list[int], list[int]]:
     return out, [low.bit_length() - 1 for low in lows]
 
 
-def _rank_ints(rows: Iterable[int]) -> int:
-    # forward elimination only; order-independent result
-    basis: list[int] = []
-    for row in rows:
-        cur = row
-        for b in basis:
-            low = b & -b
-            if cur & low:
-                cur ^= b
-        if cur:
-            basis.append(cur)
-    return len(basis)
-
-
 def _reduce_against(basis: list[int], v: int) -> int:
     """Reduce v against echelon basis rows (each with a unique low bit)."""
     for b in basis:
@@ -255,7 +241,7 @@ def dot(a: BitVector, b: BitVector) -> int:
 
 
 def rank(m: BitMatrix) -> int:
-    return _rank_ints(m.row_bits)
+    return _Span(m.row_bits).dim
 
 
 def rref(m: BitMatrix) -> tuple[BitMatrix, list[int]]:

@@ -6,6 +6,9 @@ fast path computes the same numbers with vectorized bit tricks and writes
 each kept child's rows in closed form, never calling construct().  The
 fast path is validated against the reference path in the test suite and
 the two are never merged, so a bug in one cannot hide in the other.
+Both read hull dimensions from a Gram rank, k - rank(G G^T); the
+Zassenhaus intersection that checks it runs only when LinearCode.hull()
+is called, as the test suite does.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import numpy as np
 from .buildup import ConstructionKind, construct, predicted_hull
 from .code import LinearCode
 from .errors import ClaimViolationError, DimensionError, ResourceLimitError, UsageError
-from .gf2 import BitMatrix, BitVector, _rank_ints, dot, gram
+from .gf2 import BitMatrix, BitVector, dot, gram
 
 __all__ = [
     "SweepRecord",
@@ -43,7 +46,7 @@ __all__ = [
 SWEEP_CAP = 20
 EXHAUSTIVE_CAP = 22
 EQUIV_CAP = 16
-SYM_RANK_CAP = 6  # _sym_rank_lut(t) fills 2^(t(t+1)/2) entries: 0.2 s at t=5, 20 s at 6
+SYM_RANK_CAP = 6  # _sym_rank_lut(t) fills 2^(t(t+1)/2) lanes: 0.7 s at t=6, 2^28 at 7
 NODE_CAP = 10_000_000
 
 _KINDS = tuple(ConstructionKind)
@@ -114,6 +117,19 @@ def _applicable(kind: ConstructionKind, odd: bool, y_zero: bool) -> bool:
     return not odd  # IV
 
 
+def _check_sweep_cap(seed: LinearCode) -> None:
+    """Refuse n > SWEEP_CAP, and n + k > 30: _coset_scan does 2^(n+k) lane-steps."""
+    if seed.n > SWEEP_CAP:
+        raise ResourceLimitError(
+            f"sweep over 2^{seed.n} extension vectors exceeds cap n <= {SWEEP_CAP}",
+            limit=SWEEP_CAP,
+        )
+    if seed.n + seed.k > 30:
+        raise ResourceLimitError(
+            f"sweep of 2^{seed.n + seed.k} lane-steps exceeds cap n + k <= 30", limit=30
+        )
+
+
 def _coset_scan(seed: LinearCode):
     """Per-x child data for all 2^n extension vectors, vectorized.
 
@@ -165,13 +181,13 @@ def _child_distance_arrays(seed: LinearCode):
 
 
 @lru_cache(maxsize=64)
-def _rank3_table(gram_rows: tuple[int, ...]) -> tuple[int, ...]:
-    """rank(Gc + y y^T) for every y, for a fixed seed Gram matrix."""
+def _rank3_table(gram_rows: tuple[int, ...]) -> np.ndarray:
+    """rank(Gc + y y^T) for every y, for a fixed seed Gram matrix: one lane
+    per y, the rank being the number of nonzero RREF slots."""
     k = len(gram_rows)
-    return tuple(
-        _rank_ints([gram_rows[i] ^ ((y >> i & 1) and y) for i in range(k)])
-        for y in range(1 << k)
-    )
+    ys = np.arange(1 << k, dtype=_lane_dtype(k))
+    rows = [g ^ (ys >> i & 1) * ys for i, g in enumerate(gram_rows)]
+    return np.count_nonzero(_lane_rref(rows, k), axis=1).astype(np.uint8)
 
 
 def _child_hull_arrays(seed: LinearCode, ypack):
@@ -180,7 +196,7 @@ def _child_hull_arrays(seed: LinearCode, ypack):
     ell = seed.hull_dim()
     lanes = ypack.shape[0]
     gram_rows = gram(seed.canonical_gen()).row_bits
-    rank3 = np.asarray(_rank3_table(gram_rows), dtype=np.uint8)
+    rank3 = _rank3_table(gram_rows)
     h = {}
     h[ConstructionKind.I] = np.full(lanes, ell + 1, dtype=np.int16)
     h[ConstructionKind.II] = np.full(lanes, ell + 1, dtype=np.int16)
@@ -196,11 +212,7 @@ def sweep_children(seed: LinearCode):
     where the kind applies (odd x for I; even for II/III/IV, split by
     whether x is orthogonal to the seed).
     """
-    if seed.n > SWEEP_CAP:
-        raise ResourceLimitError(
-            f"sweep over 2^{seed.n} extension vectors exceeds cap n <= {SWEEP_CAP}",
-            limit=SWEEP_CAP,
-        )
+    _check_sweep_cap(seed)
     d_I_IV, d_II_III, dc, ypack, odd = _child_distance_arrays(seed)
     h = _child_hull_arrays(seed, ypack)
     d = {
@@ -288,11 +300,7 @@ def sweep_extensions(
     child has hull dimension target_h and distance at least min_d.
     Order is deterministic: x ascending as an integer, then kind.
     """
-    if seed.n > SWEEP_CAP:
-        raise ResourceLimitError(
-            f"sweep over 2^{seed.n} extension vectors exceeds cap n <= {SWEEP_CAP}",
-            limit=SWEEP_CAP,
-        )
+    _check_sweep_cap(seed)
     if engine not in ("auto", "reference"):
         raise UsageError(f"unknown engine {engine!r}")
     kinds = tuple(ConstructionKind) if kinds is None else tuple(kinds)
@@ -329,10 +337,6 @@ def sweep_extensions(
     return records
 
 
-def _gen_key(gen: BitMatrix) -> tuple[int, ...]:
-    return tuple(r for r in gen.row_bits)
-
-
 def best_by_sweep(
     seeds: Sequence[LinearCode],
     target_h: int,
@@ -360,7 +364,7 @@ def best_by_sweep(
             if d > best_d or (
                 d == best_d
                 and best_gen is not None
-                and _gen_key(rec.canonical_gen) < _gen_key(best_gen)
+                and rec.canonical_gen.row_bits < best_gen.row_bits
             ):
                 best_d = d
                 best_gen = rec.canonical_gen
@@ -415,20 +419,19 @@ def iter_exhaustive(n: int, k: int, h: int, cap: int | None = None) -> Iterator[
 
 @lru_cache(maxsize=8)
 def _sym_rank_lut(t: int) -> np.ndarray:
-    """rank of every t x t symmetric matrix, indexed by packed upper bits."""
+    """rank of every t x t symmetric matrix, indexed by packed upper bits,
+    filled lane-parallel like _rank3_table."""
     if t > SYM_RANK_CAP:
         msg = f"2^{t * (t + 1) // 2}-entry rank table: min(k, n-k) exceeds {SYM_RANK_CAP}"
         raise ResourceLimitError(msg, limit=SYM_RANK_CAP)
-    pos = list(enumerate((i, j) for i in range(t) for j in range(i, t)))
-    lut = np.zeros(1 << len(pos), dtype=np.uint8)
-    for idx in range(lut.size):
-        rows = [0] * t
-        for b, (i, j) in pos:
-            if idx >> b & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-        lut[idx] = _rank_ints(rows)
-    return lut
+    pos = [(i, j) for i in range(t) for j in range(i, t)]
+    idx = np.arange(1 << len(pos), dtype=np.uint32)
+    rows = [np.zeros(idx.shape, dtype=np.uint8) for _ in range(t)]
+    for b, (i, j) in enumerate(pos):
+        bit = (idx >> b & 1).astype(np.uint8)
+        rows[i] |= bit << j
+        rows[j] |= bit << i
+    return np.count_nonzero(_lane_rref(rows, t), axis=1).astype(np.uint8)
 
 
 def _lane_dtype(bits: int) -> np.dtype:

@@ -4,8 +4,11 @@ Commands run in-process through main(argv); one test goes through the
 installed console script to confirm the entry point wiring.
 """
 
+import hashlib
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -112,6 +115,15 @@ def test_sweep_claim_violation_is_a_failed_verification(capsys, monkeypatch):
     assert "predicted" in capsys.readouterr().err
 
 
+def test_sweep_over_lane_step_cap(tmp_path, capsys):
+    rows = ["1" + "0" * (i - 1) + "1" + "0" * (15 - i) for i in range(1, 16)]
+    f = tmp_path / "even_16_15.txt"
+    f.write_text("16 15 2 1 even_16_15\n" + "\n".join(rows) + "\n")
+    rc = main(["sweep", str(f), "--target-h", "1"])
+    assert rc == EXIT_LIMIT
+    assert "n + k <= 30" in capsys.readouterr().err
+
+
 def test_exhaustive_claim_line(capsys):
     rc, out = run(capsys, "exhaustive", "--n", "7", "--k", "3", "--h", "3")
     assert rc == EXIT_OK
@@ -183,6 +195,52 @@ def test_reproduce_csv_format(capsys):
     assert out.splitlines()[0] == "n/k,1,2,3,4,5,6,7,8,9,10,11,12"
 
 
+# sha256 of `reproduce-tables --table T --format F` stdout, pinned so that a
+# change to the grid renderer cannot alter a byte of any table
+GRID_DIGESTS = {
+    ("T1", "text"): "6f9fbf25b28a6b905688a73665f04a378c5bdb60b90778a0c2e6e13ef123a312",
+    ("T1", "csv"): "d88d54e2dc30ef076888ebe3c6795a366b8421d1e6206187609ab5d128b0e0d1",
+    ("T1", "md"): "8222e6728d1d68df15e8b9f3db65f21acd5fbc7585b58c4b78ff0374ff2e1b6c",
+    ("T2", "text"): "c9f95e09f3e660e121fc354df06be24a8624179ede1f28040285fd44435e50ba",
+    ("T2", "csv"): "7c69d7dac6255fb19e6cab1f6f7a23c7ba0935dd1d85274f968309c88898299e",
+    ("T2", "md"): "9c80240e1232e5d2be8ea09af74d5f8dc0917dc6fff04a7c08ea4c01e358bd0e",
+    ("T3", "text"): "d59098f2f2c3292290d0d2e2c0f2ef8812449f2b3aa78d6a93a1ddd22d17b0d8",
+    ("T3", "csv"): "cf1aa695c80868de751bc94d83a618fd86a248305a67c39cbeaaa38422e1b14c",
+    ("T3", "md"): "2e0f11e63fca91409745638d6062509853abd40168bbeec73e7daee279ea89cf",
+    ("T4", "text"): "6e8fff84c9e6f61a8cfbfec7f34a2cbaf76ece5ec1fec3783b0824576bff4cee",
+    ("T4", "csv"): "eba98e5ecd53692816c5db6766e65a259ac1e2ace9bb71962c5c98d08b8d087e",
+    ("T4", "md"): "2efc8b16d264b0706b2cae82311e15ea687a7dcd68203257d3a2040a2ca453c8",
+    ("T5", "text"): "f46ca1c5c3a5056dc9a17f32c9ff5866ed4c7337ae451fc7aae9489fb610a617",
+    ("T5", "csv"): "93b2fabced095262ca322f954ed4cd1089dee6cf406c6eeca3d37034ef93d971",
+    ("T5", "md"): "1a760a0863fad9af907b2ccbea66679f8ddf171695e99b44e03a4077064c5730",
+    ("T6", "text"): "44e7b47554b77b0a0565633d6a552aa79a2794d23206b620085a91168c042cc5",
+    ("T6", "csv"): "cd85e2c6b1f112d107de618c6bd2f4eca886d50a680c1fe5c67b0dac9c4850f6",
+    ("T6", "md"): "b4fb32c137c99aa022a2230e91e570b3102a00e42b62123cc63450c51750b20c",
+    ("T7", "text"): "ee70f69f31d705ab18cdc7065a27076680b885c6c9136da18c7b06f5e4f059db",
+    ("T7", "csv"): "65b852dd4c54d6a175753913ba43b9eab6d9cf224dff8963db7b0dab96687c1e",
+    ("T7", "md"): "1f5e368d8cfecae8c73e1bbd7b7c740d93fda7f52ec47a24e78ccffddddbff6d",
+    ("T8", "text"): "0ed9b7e989b7c3c6c7b5cb3e92b1313076eedc19b744e34cca299896f57d6bb5",
+    ("T8", "csv"): "bcb9e8ed05c93447626d07628357b9403fc4404f4d152e077d699f4448b0164a",
+    ("T8", "md"): "07a5aba1c78438ee7e87ba28535b68576b0a45ffef2966ac21ca424cc327ace0",
+    ("T9", "text"): "f01ea3fb691dd6917db22402aff4027fd9c0ccacc5d381a4a9f462009f42159a",
+    ("T9", "csv"): "c4f1334262be282d28a7ce5ec3cecc0caab25aeaf51bf050d8a79287dfabe0b7",
+    ("T9", "md"): "294e2e1ee81bdfd31aba111b0d157122db23bad5aac6d2c4c7b8cdfd61945503",
+    ("T10", "text"): "d4965840f41c33301050e5d6053f1dc0f0036c4c1aa9abc16fac3dfb09dc5e18",
+    ("T10", "csv"): "99af573ce37822cd9c1819a2892ffb46eca323e75c8d9bbee0a1767cae584356",
+    ("T10", "md"): "6bcddaf9d20824f60366c922c6b66d94eb65e8574c9589bb0501585d60932a1a",
+    ("T11", "text"): "deece80dd95e0f33ada75133d2b15ad4272918afa24ca2af6dbca6616991dac2",
+    ("T11", "csv"): "deece80dd95e0f33ada75133d2b15ad4272918afa24ca2af6dbca6616991dac2",
+    ("T11", "md"): "deece80dd95e0f33ada75133d2b15ad4272918afa24ca2af6dbca6616991dac2",
+}
+
+
+@pytest.mark.parametrize("table,fmt", sorted(GRID_DIGESTS))
+def test_reproduce_grid_bytes(capsys, table, fmt):
+    rc, out = run(capsys, "reproduce-tables", "--table", table, "--format", fmt)
+    assert rc == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == GRID_DIGESTS[table, fmt]
+
+
 def test_deterministic_output(capsys):
     _, first = run(capsys, "reproduce-tables", "--table", "T8")
     _, second = run(capsys, "reproduce-tables", "--table", "T8")
@@ -216,3 +274,19 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "[12,7,4]\n"
+
+
+def test_hull_command_under_optimization():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    outs = [
+        subprocess.run(
+            [sys.executable, *flags, "-m", "hullforge.cli", "hull", G3_12_7_4],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        for flags in ([], ["-O"])
+    ]
+    assert [p.returncode for p in outs] == [0, 0]
+    assert outs[1].stdout == outs[0].stdout == "h = 3, k = 7, LCD: no, self-orthogonal: no\n"

@@ -2,14 +2,20 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
 from hullforge import gf2
 from hullforge.code import LinearCode, from_generator
 from hullforge.errors import (
+    ClaimViolationError,
     DimensionError,
     InvalidCodeError,
     NoRankGainError,
@@ -325,3 +331,49 @@ def test_caches_are_stable():
     assert c.dual() is c.dual()
     assert c.weight_distribution() is c.weight_distribution()
     assert c.min_distance() == c.min_distance() == 3
+
+
+def test_hull_dim_builds_no_basis(monkeypatch):
+    def refuse(*args):
+        raise RuntimeError("hull_dim() must not build a basis")
+
+    monkeypatch.setattr(gf2, "nullspace_basis", refuse)
+    monkeypatch.setattr(gf2, "row_space_intersection", refuse)
+    c = LinearCode.from_strings(SEED_10_6_3)
+    assert c.hull_dim() == 1
+    with pytest.raises(RuntimeError, match="must not build"):
+        c.hull().basis
+
+
+def test_covering_radius_unreached_syndrome_raises(monkeypatch):
+    # a parity check with a zero row leaves half the syndromes unreachable
+    c = LinearCode.from_strings(HAMMING_7_4)
+    h = c.parity_check()
+    monkeypatch.setattr(c, "parity_check", lambda: BitMatrix(h.ncols, (0,) + h.row_bits[1:]))
+    with pytest.raises(ClaimViolationError, match="no coset leader"):
+        c.covering_radius()
+
+
+# hull() with an intersection that disagrees with the Gram rank.
+WRONG_INTERSECTION = textwrap.dedent(
+    """
+    from hullforge import gf2
+    from hullforge.code import LinearCode
+
+    gf2.row_space_intersection = lambda a, b: gf2.BitMatrix(a.ncols, ())
+    LinearCode.from_strings(%r).hull()
+    """
+    % SEED_10_6_3
+)
+
+
+def test_hull_disagreement_raises_under_optimization():
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", WRONG_INTERSECTION],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode != 0
+    assert "ClaimViolationError: hull disagreement" in proc.stderr

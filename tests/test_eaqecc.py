@@ -17,7 +17,7 @@ from hullforge.eaqecc import (
     singleton_gap,
     tabulate,
 )
-from hullforge.errors import UsageError
+from hullforge.errors import ClaimViolationError, UsageError
 from hullforge.gf2 import BitMatrix
 
 
@@ -67,6 +67,13 @@ def test_full_space_has_no_dual_side():
     assert str(pair.primal) == "[[2,2,1;0]]"
     assert pair.dual_side is None
     assert "dual" in pair.note
+
+
+def test_hull_past_the_dual_dimension_raises(entries, monkeypatch):
+    code = entries["Hamming_7_4_3"].code()
+    monkeypatch.setattr(code, "hull_dim", lambda: code.n - code.k + 1)
+    with pytest.raises(ClaimViolationError, match="n - k"):
+        derive(code)
 
 
 def test_role_swap_duality(entries):

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hullforge import search
+from hullforge import gf2, search
 from hullforge.buildup import ConstructionKind, construct
 from hullforge.code import LinearCode
 from hullforge.corpus import by_label, load_corpus
@@ -144,6 +144,18 @@ def test_sweep_cap():
     wide = LinearCode(BitMatrix.from_strings(["1" * 21]))
     with pytest.raises(ResourceLimitError):
         sweep_extensions(wide, 1)
+
+
+def test_sweep_cap_counts_lane_steps():
+    # [16,15] passes n <= SWEEP_CAP, but _coset_scan would do 2^31 lane-steps
+    even = LinearCode(BitMatrix(16, tuple(1 | 1 << i for i in range(1, 16))))
+    start = time.perf_counter()
+    for engine in ("auto", "reference"):
+        with pytest.raises(ResourceLimitError, match="n \\+ k"):
+            sweep_extensions(even, 1, engine=engine)
+    with pytest.raises(ResourceLimitError, match="n \\+ k"):
+        search.sweep_children(even)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_sweep_rejects_unknown_engine(seed_10_6_3):
@@ -370,6 +382,45 @@ def test_lanes_past_64_bits_are_refused():
     # 2^63 lanes would overflow the int64 lane indices
     with pytest.raises(ResourceLimitError):
         hull_census(64, 1, cap=63)
+
+
+def _sym_rows(t: int, idx: int) -> tuple[int, ...]:
+    """The t x t symmetric matrix whose upper triangle is packed in idx."""
+    rows = [0] * t
+    pos = [(i, j) for i in range(t) for j in range(i, t)]
+    for b, (i, j) in enumerate(pos):
+        if idx >> b & 1:
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+    return tuple(rows)
+
+
+@pytest.mark.parametrize("t", range(1, 7))
+def test_sym_rank_lut_matches_rank(t):
+    lut = search._sym_rank_lut(t)
+    assert lut.shape == (1 << t * (t + 1) // 2,)
+    if t <= 5:
+        indices = range(lut.size)
+    else:
+        indices = random.Random(6).sample(range(lut.size), 2000)
+    for idx in indices:
+        assert lut[idx] == gf2.rank(BitMatrix(t, _sym_rows(t, idx)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 10).flatmap(
+        lambda k: st.tuples(st.just(k), st.integers(0, (1 << k * (k + 1) // 2) - 1))
+    )
+)
+def test_rank3_table_matches_rank(k_idx):
+    k, idx = k_idx
+    gram_rows = _sym_rows(k, idx)
+    table = search._rank3_table(gram_rows)
+    assert table.shape == (1 << k,)
+    for y in range(1 << k):
+        rows = tuple(g ^ (y if y >> i & 1 else 0) for i, g in enumerate(gram_rows))
+        assert table[y] == gf2.rank(BitMatrix(k, rows))
 
 
 def test_hull_rank_table_is_capped_on_its_cost():
