@@ -26,6 +26,7 @@ rather than fixtures.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -84,6 +85,11 @@ class CorpusEntry:
     notes: tuple[str, ...] = ()
 
     def code(self) -> LinearCode:
+        """The entry's code, built once, so its derived data is computed once."""
+        return self._code
+
+    @cached_property
+    def _code(self) -> LinearCode:
         return LinearCode(self.matrix)
 
     def check(self) -> None:
@@ -96,7 +102,7 @@ class CorpusEntry:
             raise CorpusValidationError(
                 f"{self.label}: {self.matrix.ncols} columns, claimed n={self.claimed_n}"
             )
-        code = LinearCode(self.matrix)
+        code = self.code()
         got = (code.k, code.min_distance(), code.hull_dim())
         want = (self.claimed_k, self.claimed_d, self.claimed_h)
         if got != want:

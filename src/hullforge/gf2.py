@@ -183,10 +183,10 @@ class BitMatrix:
     def __post_init__(self):
         if self.ncols < 0:
             raise DimensionError("negative column count")
-        object.__setattr__(self, "row_bits", tuple(self.row_bits))
-        for r in self.row_bits:
-            if r < 0 or r >> self.ncols:
-                raise DimensionError("row exceeds declared width")
+        rows = tuple(self.row_bits)
+        object.__setattr__(self, "row_bits", rows)
+        if rows and (min(rows) < 0 or max(rows) >> self.ncols):
+            raise DimensionError("row exceeds declared width")
 
     @classmethod
     def from_strings(cls, rows: Sequence[str]) -> "BitMatrix":
@@ -223,7 +223,10 @@ class BitMatrix:
         return self.row_bits[i] >> j & 1
 
     def to_strings(self) -> list[str]:
-        return [bits_to01(b, self.ncols) for b in self.row_bits]
+        if not self.ncols:
+            return [""] * self.nrows
+        spec = f"0{self.ncols}b"  # as in bits_to01, built once per matrix
+        return [format(b, spec)[::-1] for b in self.row_bits]
 
     def __str__(self) -> str:
         return "\n".join(self.to_strings())

@@ -6,6 +6,12 @@ fast path computes the same numbers with vectorized bit tricks and writes
 each kept child's rows in closed form, never calling construct().  The
 fast path is validated against the reference path in the test suite and
 the two are never merged, so a bug in one cannot hide in the other.
+The fast path's distance kernel pays per class, not per message: the
+no-top child distances depend on x only through y = x G^T and come, for
+all 2^k values of y at once, from one Walsh-Hadamard transform of the
+seed's weight classes; the with-top and coset weights are coset-leader
+weights of the codes D_y = {(y.u | uG)}, found for every y and x by one
+shortest-path pass over the 2^(n+1) cosets.
 Both read hull dimensions from a Gram rank, k - rank(G G^T); the
 Zassenhaus intersection that checks it runs only when LinearCode.hull()
 is called, as the test suite does.
@@ -118,7 +124,13 @@ def _applicable(kind: ConstructionKind, odd: bool, y_zero: bool) -> bool:
 
 
 def _check_sweep_cap(seed: LinearCode) -> None:
-    """Refuse n > SWEEP_CAP, and n + k > 30: _coset_scan does 2^(n+k) lane-steps."""
+    """Refuse n > SWEEP_CAP, and n + k > 30.
+
+    _coset_scan costs about (n+1) 2^(n+1) for the cosets plus
+    (n+1) k 2^k for the weight classes, and the kept records come on
+    top; the n + k gate, set when the scan did 2^(n+k) lane-steps, is
+    now conservative.
+    """
     if seed.n > SWEEP_CAP:
         raise ResourceLimitError(
             f"sweep over 2^{seed.n} extension vectors exceeds cap n <= {SWEEP_CAP}",
@@ -126,50 +138,105 @@ def _check_sweep_cap(seed: LinearCode) -> None:
         )
     if seed.n + seed.k > 30:
         raise ResourceLimitError(
-            f"sweep of 2^{seed.n + seed.k} lane-steps exceeds cap n + k <= 30", limit=30
+            f"sweep of a [{seed.n},{seed.k}] seed exceeds cap n + k <= 30", limit=30
         )
 
 
+def _distances_by_y(rows: tuple[int, ...], n: int):
+    """d2 and d1 for every y in F_2^k, from the weight classes of the code.
+
+    With W[u] = wt(uG), the Walsh-Hadamard transform F of the indicator
+    rows [W == w] gives the counts (A_w + F)/2 and (A_w - F)/2 of the
+    weight-w codewords with y.u = 0 and y.u = 1; M_e(y) is the least weight
+    present with y.u = e, and d2 = min(M_0, M_1 + 2), d1 = min(M_0, M_1 + 1).
+    """
+    k = len(rows)
+    words = np.zeros(1 << k, dtype=_lane_dtype(n))
+    for i, r in enumerate(rows):  # words[u] = uG, by doubling
+        np.bitwise_xor(words[: 1 << i], r, out=words[1 << i : 2 << i])
+    weights = np.arange(n + 1)
+    f = (np.bitwise_count(words) == weights[:, None]).astype(np.int32)
+    for i in range(k):  # in-place butterflies (a, b) -> (a + b, a - b)
+        pair = f.reshape(n + 1, -1, 2, 1 << i)
+        a, b = pair[:, :, 0], pair[:, :, 1]
+        a += b
+        b *= -2
+        b += a
+    even, odd = f[:, :1] + f, f[:, :1] - f  # twice the class counts
+    even[0] -= 2  # u = 0 is not a nonzero codeword
+    # k >= 1, so at least one class is nonempty and 255 never survives the min
+    m0, m1 = (np.where(c > 0, weights[:, None], 255).min(axis=0) for c in (even, odd))
+    return np.minimum(m0, m1 + 2).astype(np.uint8), np.minimum(m0, m1 + 1).astype(np.uint8)
+
+
+def _coset_leader_weights(reduced: list[int], n: int) -> np.ndarray:
+    """Least weight in every coset of every D_y = {(y.u | uG)}, by state.
+
+    State s = y | f << k | c << n is the coset of (c, x') in D_y, x' zero
+    on the pivots with free bits f.  Its n + 1 moves add one coordinate:
+    flip c, flip one free bit, or for pivot i XOR the free part reduced[i]
+    of row i and flip c by y_i.  For fixed y the moves are commuting
+    involutions, so a shortest path from the zero coset (y, 0, 0) uses each
+    at most once and one min-plus pass per move is exact: n + 1 passes over
+    the 2^(n+1) states, each move being a flip of axes of the state cube.
+    """
+    k = len(reduced)
+    dist = np.full(2 << n, n + 2, dtype=np.uint8)  # above every coset weight
+    dist[: 1 << k] = 0
+    cube = dist.reshape((2,) * (n + 1))  # axis n - b holds state bit b
+    for axis in range(n - k + 1):  # c, then the free bits
+        np.minimum(cube, np.flip(cube, axis) + 1, out=cube)
+    for i, part in enumerate(reduced):
+        axes = tuple(n - k - j for j in range(n - k) if part >> j & 1)
+        for yi in (0, 1):
+            half = (slice(None),) * (n - i) + (yi,)
+            moved = np.flip(cube, axes + (0,) * yi)[half]
+            np.minimum(cube[half], moved + 1, out=cube[half])
+    return dist
+
+
 def _coset_scan(seed: LinearCode):
-    """Per-x child data for all 2^n extension vectors, vectorized.
+    """Per-x child data for all 2^n extension vectors, from class tables.
 
     Child distances come from the row assembly: a child codeword is a
-    seed codeword m with two prefix coordinates determined by the top
-    row, so the minimum splits into a no-top branch and a with-top
-    branch.  Returns (d_topless2, d_topless1, d_top, coset_min, ypack,
-    odd) as numpy arrays indexed by x.
+    seed codeword m = uG with two prefix coordinates determined by the
+    top row, so the minimum splits into a no-top branch and a with-top
+    branch.  The no-top minima d2 and d1 depend on x only through
+    y = x G^T (ypack) and are tabulated per y; the with-top minimum dt
+    and the coset weight dc are coset-leader weights L_y(b, x) of the
+    length-(n+1) code D_y = {(y.u | uG)}: dt = 1 + L_y(1, x) and
+    dc = min(L_y(0, x), L_y(1, x)).  Returns (d_topless2, d_topless1,
+    d_top, coset_min, ypack, odd) as numpy arrays indexed by x.
     """
     n, k = seed.n, seed.k
-    lanes = 1 << n
-    xs = np.arange(lanes, dtype=np.uint64)
-    rows = [r.bits for r in seed.canonical_gen().rows]
+    rows = seed.canonical_gen().row_bits
+    d2y, d1y = _distances_by_y(rows, n)
 
-    big = np.uint8(255)
-    d2 = np.full(lanes, big)  # min over m != 0 of 2*(x.m) + wt(m)
-    d1 = np.full(lanes, big)  # min over m != 0 of (x.m) + wt(m)
-    dt = np.full(lanes, big)  # min over all m of (1 xor x.m) + 1 + wt(x xor m)
-    dc = np.full(lanes, big)  # min over all m of wt(x xor m)
+    pivot_of = {(r & -r).bit_length() - 1: i for i, r in enumerate(rows)}
+    free = [j for j in range(n) if j not in pivot_of]
+    reduced = [sum((r >> j & 1) << b for b, j in enumerate(free)) for r in rows]
+    # x maps linearly to y | f << k | u_x << (n+1) | parity << (n+1+k), where
+    # u_x is x read at the pivots and f the free bits of x' = x + u_x G
+    images = []
+    for j in range(n):
+        img = sum((r >> j & 1) << i for i, r in enumerate(rows)) | 1 << (n + 1 + k)
+        if j in pivot_of:
+            img |= reduced[pivot_of[j]] << k | 1 << (n + 1 + pivot_of[j])
+        else:
+            img |= 1 << (k + free.index(j))
+        images.append(img)
+    word = np.zeros(1 << n, dtype=_lane_dtype(n + k + 2))
+    for j, img in enumerate(images):  # by doubling over the bits of x
+        np.bitwise_xor(word[: 1 << j], img, out=word[1 << j : 2 << j])
+    ymask = (1 << k) - 1
+    ypack = (word & ymask).astype(np.uint32)
+    c = (np.bitwise_count(word >> (n + 1) & word & ymask) & 1).astype(word.dtype)
+    state = word & ((1 << n) - 1) | c << n  # the coset of (0, x) in D_y
+    odd = (word >> (n + 1 + k)).astype(bool)
 
-    m = 0
-    for t in range(1 << k):
-        if t:
-            m ^= rows[(t & -t).bit_length() - 1]
-        mm = np.uint64(m)
-        par = (np.bitwise_count(xs & mm) & 1).astype(np.uint8)
-        wx = np.bitwise_count(xs ^ mm).astype(np.uint8)
-        if t:
-            wm = np.uint8(m.bit_count())
-            np.minimum(d2, 2 * par + wm, out=d2)
-            np.minimum(d1, par + wm, out=d1)
-        np.minimum(dt, (1 ^ par) + 1 + wx, out=dt)
-        np.minimum(dc, wx, out=dc)
-
-    ypack = np.zeros(lanes, dtype=np.uint32)
-    for i, r in enumerate(rows):
-        yi = (np.bitwise_count(xs & np.uint64(r)) & 1).astype(np.uint32)
-        ypack |= yi << np.uint32(i)
-    odd = (np.bitwise_count(xs) & 1).astype(bool)
-    return d2, d1, dt, dc, ypack, odd
+    leaders = _coset_leader_weights(reduced, n)
+    l0, l1 = leaders[state], leaders[state ^ (1 << n)]
+    return d2y[ypack], d1y[ypack], l1 + np.uint8(1), np.minimum(l0, l1), ypack, odd
 
 
 def _child_distance_arrays(seed: LinearCode):
@@ -420,18 +487,21 @@ def iter_exhaustive(n: int, k: int, h: int, cap: int | None = None) -> Iterator[
 @lru_cache(maxsize=8)
 def _sym_rank_lut(t: int) -> np.ndarray:
     """rank of every t x t symmetric matrix, indexed by packed upper bits,
-    filled lane-parallel like _rank3_table."""
+    filled lane-parallel like _rank3_table, 2^CHUNK_BITS lanes at a time."""
     if t > SYM_RANK_CAP:
         msg = f"2^{t * (t + 1) // 2}-entry rank table: min(k, n-k) exceeds {SYM_RANK_CAP}"
         raise ResourceLimitError(msg, limit=SYM_RANK_CAP)
     pos = [(i, j) for i in range(t) for j in range(i, t)]
-    idx = np.arange(1 << len(pos), dtype=np.uint32)
-    rows = [np.zeros(idx.shape, dtype=np.uint8) for _ in range(t)]
-    for b, (i, j) in enumerate(pos):
-        bit = (idx >> b & 1).astype(np.uint8)
-        rows[i] |= bit << j
-        rows[j] |= bit << i
-    return np.count_nonzero(_lane_rref(rows, t), axis=1).astype(np.uint8)
+    lut = np.empty(1 << len(pos), dtype=np.uint8)
+    for start in range(0, lut.size, 1 << CHUNK_BITS):
+        idx = np.arange(start, min(start + (1 << CHUNK_BITS), lut.size), dtype=np.uint32)
+        rows = [np.zeros(idx.shape, dtype=np.uint8) for _ in range(t)]
+        for b, (i, j) in enumerate(pos):
+            bit = (idx >> b & 1).astype(np.uint8)
+            rows[i] |= bit << j
+            rows[j] |= bit << i
+        lut[start : start + idx.size] = np.count_nonzero(_lane_rref(rows, t), axis=1)
+    return lut
 
 
 def _lane_dtype(bits: int) -> np.dtype:
@@ -783,7 +853,7 @@ def are_equivalent(
 def format_sweep_record(rec: SweepRecord) -> str:
     n, k, d, h = rec.child_params
     gen = ",".join(rec.canonical_gen.to_strings())
-    return f"SWEEP {rec.seed_id} {rec.x.to01()} {rec.kind} {n} {k} {d} {h} {gen}"
+    return f"SWEEP {rec.seed_id} {rec.x.to01()} {rec.kind.value} {n} {k} {d} {h} {gen}"
 
 
 def format_claim(claim: OptimalityClaim) -> str:

@@ -267,10 +267,12 @@ def test_unknown_command_exits_2():
 
 
 def test_console_script_entry_point():
+    src = Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.run(
         [sys.executable, "-m", "hullforge.cli", "distance", G3_12_7_4],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert proc.returncode == 0
     assert proc.stdout == "[12,7,4]\n"

@@ -62,6 +62,13 @@ def test_every_entry_validates(entries):
         e.check()
 
 
+def test_entry_code_is_built_once(entries):
+    entry = entries[0]
+    assert entry.code() is entry.code()
+    # a fresh load parses fresh entries, so nothing carries over between calls
+    assert load_corpus()[0].code() is not entry.code()
+
+
 def test_required_labels_present(index):
     required = ["seed_10_6_3", "Cprime_12_7_3", "Csecond_12_7_4", "B12", "Hamming_7_4_3"]
     required += [f"G1_12_{k}_{d}" for k, d in [(6, 4), (7, 4), (8, 3), (9, 2), (10, 1), (11, 2)]]

@@ -313,3 +313,29 @@ def test_bits_to01_empty_and_leading_zeros():
     assert gf2.bits_to01(0, 3) == "000"
     assert gf2.bits_to01(1, 4) == "1000"
     assert gf2.bits_to01(8, 4) == "0001"
+
+
+@pytest.mark.parametrize(
+    "ncols, rows", [(3, (1, -1)), (3, (1 << 3,)), (0, (0, 1)), (5, (1, 1 << 6, 2))]
+)
+def test_matrix_rejects_rows_outside_the_width(ncols, rows):
+    with pytest.raises(DimensionError, match="row exceeds declared width"):
+        BitMatrix(ncols, rows)
+
+
+def test_matrix_width_edges():
+    assert BitMatrix(3, (0b111, 0)).to_strings() == ["111", "000"]
+    assert BitMatrix(0, (0, 0)).to_strings() == ["", ""]
+    empty = BitMatrix(5, ())
+    assert empty.nrows == 0 and empty.to_strings() == []
+
+
+@given(
+    st.integers(0, 70).flatmap(
+        lambda n: st.tuples(st.lists(st.integers(0, (1 << n) - 1), max_size=5), st.just(n))
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_matrix_strings_match_char_loop(case):
+    rows, n = case
+    assert BitMatrix(n, tuple(rows)).to_strings() == [_char_loop_01(b, n) for b in rows]

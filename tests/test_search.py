@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hullforge import gf2, search
@@ -164,9 +164,9 @@ def test_sweep_rejects_unknown_engine(seed_10_6_3):
 
 
 @st.composite
-def sweep_seeds(draw):
-    """A random seed code with n <= 8 (dependent rows are dropped)."""
-    n = draw(st.integers(1, 8))
+def sweep_seeds(draw, max_n=8):
+    """A random seed code with n <= max_n (dependent rows are dropped)."""
+    n = draw(st.integers(1, max_n))
     k = draw(st.integers(1, n))
     rows = draw(st.lists(st.integers(1, (1 << n) - 1), min_size=k, max_size=k))
     return LinearCode(BitMatrix(n, tuple(rows)))
@@ -185,6 +185,65 @@ def test_sweep_engines_agree_on_random_seeds(seed, kinds, min_d):
         assert [format_sweep_record(r) for r in auto] == [
             format_sweep_record(r) for r in ref
         ]
+
+
+def _gray_coset_scan(seed):
+    """The sweep kernel as a loop over the 2^k messages m in Gray order,
+    each step one pass over all 2^n lanes x."""
+    n, k = seed.n, seed.k
+    xs = np.arange(1 << n, dtype=np.uint64)
+    rows = [r.bits for r in seed.canonical_gen().rows]
+    d2, d1, dt, dc = (np.full(1 << n, 255, dtype=np.uint8) for _ in range(4))
+    m = 0
+    for t in range(1 << k):
+        if t:
+            m ^= rows[(t & -t).bit_length() - 1]
+        par = (np.bitwise_count(xs & np.uint64(m)) & 1).astype(np.uint8)
+        wx = np.bitwise_count(xs ^ np.uint64(m)).astype(np.uint8)
+        if t:
+            wm = np.uint8(m.bit_count())
+            np.minimum(d2, 2 * par + wm, out=d2)  # min over m != 0 of 2(x.m) + wt(m)
+            np.minimum(d1, par + wm, out=d1)  # min over m != 0 of (x.m) + wt(m)
+        np.minimum(dt, (1 ^ par) + 1 + wx, out=dt)  # (1 xor x.m) + 1 + wt(x xor m)
+        np.minimum(dc, wx, out=dc)  # wt(x xor m)
+    ypack = np.zeros(1 << n, dtype=np.uint32)
+    for i, r in enumerate(rows):
+        ypack |= (np.bitwise_count(xs & np.uint64(r)) & 1).astype(np.uint32) << np.uint32(i)
+    odd = (np.bitwise_count(xs) & 1).astype(bool)
+    return d2, d1, dt, dc, ypack, odd
+
+
+def _assert_scan_matches_gray_loop(seed):
+    names = ("d2", "d1", "dt", "dc", "ypack", "odd")
+    for name, got, want in zip(names, search._coset_scan(seed), _gray_coset_scan(seed)):
+        assert got.dtype == want.dtype, name
+        np.testing.assert_array_equal(got, want, err_msg=name)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sweep_seeds(max_n=10))
+@example(LinearCode(gf2.identity(7)))  # k = n
+# rank-deficient rows: the third is the sum of the first two
+@example(LinearCode(BitMatrix(9, (0b110000011, 0b000111001, 0b110111010, 0b100000001))))
+def test_coset_scan_matches_gray_loop_on_random_seeds(seed):
+    _assert_scan_matches_gray_loop(seed)
+
+
+def test_coset_scan_matches_gray_loop_on_bundled_seeds(entries):
+    seeds = [e.code() for e in entries.values() if e.claimed_n <= 13]
+    assert len(seeds) > 60
+    for seed in seeds:
+        _assert_scan_matches_gray_loop(seed)
+
+
+def test_sweep_children_at_the_lane_cap_is_fast():
+    # a [16,14] seed sits at n + k = 30; the Gray loop took 2^30 lane-steps
+    rng = random.Random(16)
+    seed = LinearCode(BitMatrix(16, tuple(rng.getrandbits(16) for _ in range(14))))
+    assert (seed.n, seed.k) == (16, 14)
+    start = time.perf_counter()
+    search.sweep_children(seed)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_sweep_checks_each_child_against_the_claim(seed_10_6_3, monkeypatch):
