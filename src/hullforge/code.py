@@ -7,6 +7,11 @@ never changes an answer.  The hull dimension is k - rank(G G^T) alone;
 the hull report's Zassenhaus basis, and the dual it needs, are built
 only when hull() is called, and a basis whose size disagrees with the
 Gram rank raises ClaimViolationError.
+
+Weight distributions, coset leaders and equivalence profiles read the
+2^k codewords from one NumPy kernel, _codeword_chunks, in Gray order and
+in uint64 limb chunks of at most 2^CHUNK_BITS words, so memory is one
+chunk whatever k is; iter_codewords yields the same sequence as ints.
 """
 
 from __future__ import annotations
@@ -16,6 +21,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from typing import Iterator, Mapping, Sequence
+
+import numpy as np
 
 from . import gf2
 from .errors import (
@@ -39,6 +46,7 @@ __all__ = [
 
 DEFAULT_MAX_K = 28
 SYNDROME_CAP = 24
+CHUNK_BITS = 18  # enumeration kernels hold at most 2^CHUNK_BITS words or lanes
 _MAX_K_ENV = "HULLFORGE_MAX_K"
 
 
@@ -57,7 +65,8 @@ def _check_enum(k: int) -> None:
     cap = enumeration_cap()
     if k > cap:
         raise ResourceLimitError(
-            f"enumeration over 2^{k} codewords exceeds cap k <= {cap}", limit=cap
+            f"enumeration over 2^{k} codewords exceeds cap k <= {cap}",
+            limit=cap, requested=k,
         )
 
 
@@ -108,18 +117,42 @@ class CosetWeightProfile:
     leader: BitVector
 
 
-def _gray_weight_counts(rows: Sequence[int], n: int) -> list[int]:
-    # one XOR per message via the Gray sequence
-    counts = [0] * (n + 1)
-    counts[0] = 1
-    cw = 0
-    prev = 0
-    for m in range(1, 1 << len(rows)):
-        g = m ^ (m >> 1)
-        cw ^= rows[(g ^ prev).bit_length() - 1]
-        prev = g
-        counts[cw.bit_count()] += 1
-    return counts
+def _limbs(values: Sequence[int], n: int) -> np.ndarray:
+    """Packed n-bit ints as a (len(values), ceil(n/64)) array of uint64
+    limbs, least significant first."""
+    nlimbs = max(1, -(-n // 64))
+    data = b"".join(v.to_bytes(8 * nlimbs, "little") for v in values)
+    return np.frombuffer(data, dtype="<u8").reshape(len(values), nlimbs)
+
+
+def _weights(words: np.ndarray) -> np.ndarray:
+    """Hamming weight of each limb row."""
+    counts = np.bitwise_count(words)
+    return counts[:, 0] if counts.shape[1] == 1 else counts.sum(axis=1, dtype=np.uint16)
+
+
+def _codeword_chunks(rows: Sequence[int], n: int) -> Iterator[np.ndarray]:
+    """All 2^k codewords of the rows' span, in iter_codewords order, as
+    (words, ceil(n/64)) uint64 limb arrays of at most 2^CHUNK_BITS words.
+
+    The low rows build one table by reflected doubling: after row i it
+    is the table so far followed by the same table reversed and XORed
+    with row i, the binary-reflected Gray order.  The high rows then step
+    through their own Gray order, one row per step, and the odd steps
+    read the low table backwards, as the reflected order does.
+    """
+    k = len(rows)
+    _check_enum(k)
+    limbs = _limbs(rows, n)
+    low = min(k, CHUNK_BITS)
+    table = np.zeros((1 << low, limbs.shape[1]), dtype=np.uint64)
+    for i in range(low):
+        np.bitwise_xor(table[(1 << i) - 1 :: -1], limbs[i], out=table[1 << i : 2 << i])
+    yield table
+    acc = np.zeros(limbs.shape[1], dtype=np.uint64)
+    for m in range(1, 1 << (k - low)):
+        acc ^= limbs[low + (m & -m).bit_length() - 1]
+        yield (table[::-1] if m & 1 else table) ^ acc
 
 
 class LinearCode:
@@ -212,7 +245,10 @@ class LinearCode:
     # --- enumeration-backed quantities ------------------------------------
 
     def iter_codewords(self) -> Iterator[int]:
-        """All 2^k codewords as packed ints, Gray order, starting at 0."""
+        """All 2^k codewords as packed ints, starting at 0, in the
+        binary-reflected Gray order of the messages: message m is the sum
+        of the rows at the set bits of m ^ (m >> 1).  _codeword_chunks
+        yields this same sequence in NumPy chunks."""
         rows = self.gen.row_bits
         cw = 0
         prev = 0
@@ -225,11 +261,10 @@ class LinearCode:
 
     @cached_property
     def _weight_distribution(self) -> WeightDistribution:
-        _check_enum(self.k)
-        counts = _gray_weight_counts(self.gen.row_bits, self.n)
-        return WeightDistribution.from_mapping(
-            {w: c for w, c in enumerate(counts) if c}
-        )
+        counts = np.zeros(self.n + 1, dtype=np.int64)
+        for words in _codeword_chunks(self.gen.row_bits, self.n):
+            counts += np.bincount(_weights(words), minlength=self.n + 1)
+        return WeightDistribution.from_mapping(dict(enumerate(counts.tolist())))
 
     def weight_distribution(self) -> WeightDistribution:
         return self._weight_distribution
@@ -238,21 +273,22 @@ class LinearCode:
         return self.weight_distribution().min_positive_weight
 
     def coset_min_weight(self, x: BitVector) -> CosetWeightProfile:
+        """Least weight in the coset x + C, and its leader: the first
+        vector x + c of that weight, with c in iter_codewords order."""
         if x.len != self.n:
             raise DimensionError("coset representative has wrong length")
-        _check_enum(self.k)
+        target = _limbs([x.bits], self.n)[0]
         best = None
-        leader = 0
-        for cw in self.iter_codewords():
-            w = (x.bits ^ cw).bit_count()
-            if best is None or w < best:
-                best = w
-                leader = x.bits ^ cw
+        for words in _codeword_chunks(self.gen.row_bits, self.n):
+            coset = words ^ target
+            weights = _weights(coset)
+            at = int(weights.argmin())
+            if best is None or weights[at] < best:
+                best, leader = int(weights[at]), coset[at]
                 if best == 0:
                     break
-        return CosetWeightProfile(
-            x=x, min_weight=best, leader=BitVector(self.n, leader)
-        )
+        leader = int.from_bytes(leader.astype("<u8").tobytes(), "little")
+        return CosetWeightProfile(x=x, min_weight=best, leader=BitVector(self.n, leader))
 
     def covering_radius(self, *, cap: int = SYNDROME_CAP) -> int:
         """Largest coset-leader weight, filled in by syndrome table."""
@@ -262,7 +298,7 @@ class LinearCode:
         if r > cap:
             raise ResourceLimitError(
                 f"syndrome table of 2^{r} entries exceeds cap n-k <= {cap}",
-                limit=cap,
+                limit=cap, requested=r,
             )
         hmat = self.parity_check()
         col_syn = []

@@ -42,11 +42,18 @@ class NoRankGainError(HullforgeError, ValueError):
 
 
 class ResourceLimitError(HullforgeError, RuntimeError):
-    """Requested computation exceeds a configured size cap."""
+    """Requested computation exceeds a configured size cap.
 
-    def __init__(self, message: str, limit: int | None = None):
+    limit is the cap and requested the size that was asked for, in the
+    same unit (k, n - k, bits, ...); both are None where no size applies.
+    """
+
+    def __init__(
+        self, message: str, limit: int | None = None, requested: int | None = None
+    ):
         super().__init__(message)
         self.limit = limit
+        self.requested = requested
 
 
 class ClaimViolationError(HullforgeError, RuntimeError):

@@ -15,6 +15,10 @@ shortest-path pass over the 2^(n+1) cosets.
 Both read hull dimensions from a Gram rank, k - rank(G G^T); the
 Zassenhaus intersection that checks it runs only when LinearCode.hull()
 is called, as the test suite does.
+Equivalence search takes its column and column-pair profiles from the
+codeword chunks of code._codeword_chunks, one matrix product per weight
+instead of a loop over the codewords; exhaustive lanes and codeword
+chunks share code.CHUNK_BITS.
 """
 
 from __future__ import annotations
@@ -28,9 +32,9 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .buildup import ConstructionKind, construct, predicted_hull
-from .code import LinearCode
+from .code import CHUNK_BITS, LinearCode, _codeword_chunks, _weights
 from .errors import ClaimViolationError, DimensionError, ResourceLimitError, UsageError
-from .gf2 import BitMatrix, BitVector, dot, gram
+from .gf2 import BitMatrix, BitVector, dot, gram, transpose
 
 __all__ = [
     "SweepRecord",
@@ -134,11 +138,12 @@ def _check_sweep_cap(seed: LinearCode) -> None:
     if seed.n > SWEEP_CAP:
         raise ResourceLimitError(
             f"sweep over 2^{seed.n} extension vectors exceeds cap n <= {SWEEP_CAP}",
-            limit=SWEEP_CAP,
+            limit=SWEEP_CAP, requested=seed.n,
         )
     if seed.n + seed.k > 30:
         raise ResourceLimitError(
-            f"sweep of a [{seed.n},{seed.k}] seed exceeds cap n + k <= 30", limit=30
+            f"sweep of a [{seed.n},{seed.k}] seed exceeds cap n + k <= 30",
+            limit=30, requested=seed.n + seed.k,
         )
 
 
@@ -455,7 +460,8 @@ def _check_exhaustive_cap(n: int, k: int, cap: int | None) -> int:
     cap = EXHAUSTIVE_CAP if cap is None else cap
     if k * (n - k) > cap:
         raise ResourceLimitError(
-            f"k(n-k) = {k * (n - k)} exceeds enumeration cap {cap}", limit=cap
+            f"k(n-k) = {k * (n - k)} exceeds enumeration cap {cap}",
+            limit=cap, requested=k * (n - k),
         )
     return cap
 
@@ -490,7 +496,7 @@ def _sym_rank_lut(t: int) -> np.ndarray:
     filled lane-parallel like _rank3_table, 2^CHUNK_BITS lanes at a time."""
     if t > SYM_RANK_CAP:
         msg = f"2^{t * (t + 1) // 2}-entry rank table: min(k, n-k) exceeds {SYM_RANK_CAP}"
-        raise ResourceLimitError(msg, limit=SYM_RANK_CAP)
+        raise ResourceLimitError(msg, limit=SYM_RANK_CAP, requested=t)
     pos = [(i, j) for i in range(t) for j in range(i, t)]
     lut = np.empty(1 << len(pos), dtype=np.uint8)
     for start in range(0, lut.size, 1 << CHUNK_BITS):
@@ -508,7 +514,8 @@ def _lane_dtype(bits: int) -> np.dtype:
     """Smallest unsigned dtype holding `bits` bits per lane."""
     if bits > 64:
         raise ResourceLimitError(
-            f"{bits}-bit lanes exceed the 64-bit enumeration kernels", limit=64
+            f"{bits}-bit lanes exceed the 64-bit enumeration kernels",
+            limit=64, requested=bits,
         )
     return np.min_scalar_type((1 << bits) - 1)
 
@@ -578,9 +585,6 @@ def _min_distances(rows: list[np.ndarray], k: int, prune_below: int) -> np.ndarr
     return out
 
 
-CHUNK_BITS = 18
-
-
 def _sorted_table(r: int, size: int, dtype) -> tuple[list[np.ndarray], np.ndarray]:
     """Every non-decreasing r-tuple over range(size), in lexicographic
     order, as r row arrays; above[v] counts the tuples starting at v or
@@ -614,10 +618,11 @@ def _sorted_free_blocks(k: int, m: int) -> Iterator[list[np.ndarray]]:
     dtype = _lane_dtype(m)
     if m:
         _lane_dtype(k)  # the hull kernel's transposed side packs k bits
-    if comb(size + k - 1, k) >> 63:
+    lanes = comb(size + k - 1, k)
+    if lanes >> 63:
         raise ResourceLimitError(
             f"C(2^{m}+{k}-1, {k}) sorted free blocks overflow 64-bit lane indices",
-            limit=63,
+            limit=63, requested=lanes.bit_length(),
         )
     r = k
     while r > 1 and comb(size + r - 1, r) > limit:
@@ -736,41 +741,29 @@ def exhaustive_codes(
 
 
 def _column_profiles(code: LinearCode):
+    """Per-column and per-column-pair codeword counts by weight.
+
+    pair[i][j][w] counts the weight-w codewords whose support holds
+    columns i and j: for every w at once that is P_w = B_w^T B_w over the
+    0/1 matrix B_w of the weight-w codewords.  sig[i] is the diagonal,
+    the weight-w codewords holding column i.
+    """
     n = code.n
-    unary = [dict() for _ in range(n)]
-    pair = [[dict() for _ in range(n)] for _ in range(n)]
-    for bits in code.iter_codewords():
-        w = bits.bit_count()
-        if not w:
-            continue
-        supp = []
-        b = bits
-        while b:
-            low = b & -b
-            supp.append(low.bit_length() - 1)
-            b ^= low
-        for i in supp:
-            unary[i][w] = unary[i].get(w, 0) + 1
-        for a in range(len(supp)):
-            for bpos in range(a + 1, len(supp)):
-                i, j = supp[a], supp[bpos]
-                pair[i][j][w] = pair[i][j].get(w, 0) + 1
-                pair[j][i][w] = pair[j][i].get(w, 0) + 1
-    sig = [tuple(sorted(u.items())) for u in unary]
+    prof = np.zeros((n + 1, n, n))  # float64 sums are exact below 2^53
+    for words in _codeword_chunks(code.gen.row_bits, n):
+        weights = _weights(words)
+        by_weight = words[np.argsort(weights)].astype("<u8", copy=False)
+        bits = np.unpackbits(by_weight.view(np.uint8), axis=1, bitorder="little")
+        bits = bits[:, :n].astype(np.float64)
+        ends = np.cumsum(np.bincount(weights, minlength=n + 1)).tolist()
+        for w in range(1, n + 1):
+            b_w = bits[ends[w - 1] : ends[w]]
+            if b_w.size:
+                prof[w] += b_w.T @ b_w
+    counts = prof.astype(np.int64).transpose(1, 2, 0).tolist()
+    pair = [[tuple(p) for p in row] for row in counts]
+    sig = [pair[i][i] for i in range(n)]
     return sig, pair
-
-
-def _permuted_rows(gen: BitMatrix, perm: Sequence[int]) -> BitMatrix:
-    rows = []
-    for r in gen.rows:
-        bits = 0
-        v = r.bits
-        while v:
-            low = v & -v
-            bits |= 1 << perm[low.bit_length() - 1]
-            v ^= low
-        rows.append(bits)
-    return BitMatrix(gen.ncols, tuple(rows))
 
 
 def are_equivalent(
@@ -780,8 +773,12 @@ def are_equivalent(
 
     Fast-rejects on weight distribution or hull dimension, then
     backtracks over column assignments constrained by per-column and
-    per-column-pair codeword incidence counts.  A capped search returns
-    equivalent=None (undecided) instead of guessing.
+    per-column-pair codeword counts by weight (_column_profiles, one
+    NumPy pass over the codeword chunks per code).  A full assignment is
+    accepted when every permuted row of a has syndrome 0 under b's
+    parity checks: the permuted code then lies in b and has its
+    dimension, so it is b.  A capped search returns equivalent=None
+    (undecided) instead of guessing.
     """
     if a.n != b.n or a.k != b.k:
         raise DimensionError(
@@ -789,7 +786,8 @@ def are_equivalent(
         )
     if a.n > EQUIV_CAP:
         raise ResourceLimitError(
-            f"equivalence search capped at n <= {EQUIV_CAP}", limit=EQUIV_CAP
+            f"equivalence search capped at n <= {EQUIV_CAP}",
+            limit=EQUIV_CAP, requested=a.n,
         )
     if a.same_row_space(b):
         return EquivalenceVerdict(True, tuple(range(a.n)))
@@ -808,7 +806,10 @@ def are_equivalent(
         return EquivalenceVerdict(False)
 
     order = sorted(range(n), key=lambda i: len(candidates[i]))
-    basis_b = b.canonical_gen()
+    # column j of b's parity checks, packed: a word's syndrome is the XOR
+    # of the columns in its support
+    syndrome_b = transpose(b.parity_check()).row_bits
+    supports_a = [[j for j in range(n) if r >> j & 1] for r in a.gen.row_bits]
     assigned: list[tuple[int, int]] = []
     perm = [-1] * n
     used = [False] * n
@@ -817,10 +818,13 @@ def are_equivalent(
     def extend(depth: int) -> EquivalenceVerdict | None:
         nonlocal nodes
         if depth == n:
-            permuted = _permuted_rows(a.canonical_gen(), perm)
-            if LinearCode(permuted).canonical_gen() == basis_b:
-                return EquivalenceVerdict(True, tuple(perm))
-            return None
+            for support in supports_a:
+                syndrome = 0
+                for j in support:
+                    syndrome ^= syndrome_b[perm[j]]
+                if syndrome:
+                    return None
+            return EquivalenceVerdict(True, tuple(perm))
         i = order[depth]
         for j in candidates[i]:
             if used[j]:

@@ -7,11 +7,15 @@ import random
 import subprocess
 import sys
 import textwrap
+import time
 from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from hullforge import code as code_mod
 from hullforge import gf2
 from hullforge.code import LinearCode, from_generator
 from hullforge.errors import (
@@ -377,3 +381,103 @@ def test_hull_disagreement_raises_under_optimization():
     )
     assert proc.returncode != 0
     assert "ClaimViolationError: hull disagreement" in proc.stderr
+
+
+# ---------------------------------------------------- codeword chunk kernel
+
+
+@st.composite
+def small_chunked_codes(draw, n_max=70, k_max=12):
+    """A random code, n up to 70 (past one 64-bit limb), and a chunk size
+    of 2 or 3 bits so that most codes span several chunks."""
+    n = draw(st.integers(1, n_max))
+    k = draw(st.integers(1, min(n, k_max)))
+    rows = draw(st.lists(st.integers(1, (1 << n) - 1), min_size=k, max_size=k))
+    return LinearCode(BitMatrix(n, tuple(rows))), draw(st.integers(2, 3))
+
+
+# codes whose rows reach past the first 64-bit limb
+WIDE = [
+    (LinearCode(BitMatrix(70, (1 << 69 | 1, 1 << 64 | 1 << 3, (1 << 70) - 1))), 2),
+    (LinearCode(BitMatrix(65, tuple(1 << 64 | 1 << i for i in range(7)))), 3),
+]
+
+
+def _gray_coset(c: LinearCode, x: BitVector) -> tuple[int, int]:
+    # the Gray-order scan coset_min_weight replaced, kept as its oracle
+    best = None
+    leader = 0
+    for cw in c.iter_codewords():
+        w = (x.bits ^ cw).bit_count()
+        if best is None or w < best:
+            best = w
+            leader = x.bits ^ cw
+            if best == 0:
+                break
+    return best, leader
+
+
+@settings(max_examples=120, deadline=None)
+@given(small_chunked_codes())
+@example(WIDE[0])
+@example(WIDE[1])
+def test_codeword_chunks_follow_iter_codewords(code_bits):
+    c, bits = code_bits
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(code_mod, "CHUNK_BITS", bits)
+        chunks = list(code_mod._codeword_chunks(c.gen.row_bits, c.n))
+    assert all(ch.shape == (min(1 << c.k, 1 << bits), -(-c.n // 64)) for ch in chunks)
+    words = [
+        int.from_bytes(w.astype("<u8").tobytes(), "little") for ch in chunks for w in ch
+    ]
+    assert words == list(c.iter_codewords())
+
+
+@settings(max_examples=120, deadline=None)
+@given(small_chunked_codes())
+@example(WIDE[0])
+@example(WIDE[1])
+def test_weight_distribution_counts_iter_codewords(code_bits):
+    c, bits = code_bits
+    want: dict[int, int] = {}
+    for cw in c.iter_codewords():
+        want[cw.bit_count()] = want.get(cw.bit_count(), 0) + 1
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(code_mod, "CHUNK_BITS", bits)
+        assert c.weight_distribution().as_dict() == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_chunked_codes(), st.booleans(), st.integers(0, (1 << 70) - 1))
+@example(WIDE[0], False, (1 << 70) - 1 - (1 << 66))
+@example(WIDE[1], True, 0)
+def test_coset_leader_matches_gray_loop(code_bits, member, raw):
+    c, bits = code_bits
+    # members of the code (weight 0) and arbitrary vectors
+    if member:
+        x = BitVector(c.n, c.gen.row_bits[0] ^ c.gen.row_bits[-1])
+    else:
+        x = BitVector(c.n, raw & ((1 << c.n) - 1))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(code_mod, "CHUNK_BITS", bits)
+        prof = c.coset_min_weight(x)
+    assert (prof.min_weight, prof.leader.bits) == _gray_coset(c, x)
+    assert prof.leader.len == c.n
+
+
+def test_weight_distribution_of_a_40_22_code_is_fast():
+    rng = random.Random(40)
+    rows = tuple(1 << i | rng.getrandbits(18) << 22 for i in range(22))
+    c = LinearCode(BitMatrix(40, rows))
+    start = time.perf_counter()
+    wd = c.weight_distribution()
+    assert time.perf_counter() - start < 0.5  # over 1 s as a Python Gray loop
+    assert wd.total == 1 << 22
+
+
+def test_codeword_kernel_checks_the_enumeration_cap(monkeypatch):
+    monkeypatch.setenv("HULLFORGE_MAX_K", "3")
+    rows = tuple(1 << i for i in range(40))
+    with pytest.raises(ResourceLimitError) as err:
+        next(code_mod._codeword_chunks(rows, 40))
+    assert (err.value.limit, err.value.requested) == (3, 40)

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from hullforge import code as code_mod
 from hullforge import gf2, search
 from hullforge.buildup import ConstructionKind, construct
 from hullforge.code import LinearCode
@@ -443,6 +444,27 @@ def test_lanes_past_64_bits_are_refused():
         hull_census(64, 1, cap=63)
 
 
+def test_resource_limits_report_the_requested_size(monkeypatch):
+    def caught(fn, *args, **kwargs):
+        with pytest.raises(ResourceLimitError) as err:
+            fn(*args, **kwargs)
+        return err.value.limit, err.value.requested
+
+    wide = LinearCode(BitMatrix.from_strings(["1" * 21]))
+    even = LinearCode(BitMatrix(16, tuple(1 | 1 << i for i in range(1, 16))))
+    assert caught(sweep_extensions, wide, 1) == (20, 21)
+    assert caught(search.sweep_children, even) == (30, 31)
+    assert caught(exhaustive_codes, 12, 6, 0) == (22, 36)
+    assert caught(hull_census, 14, 7, cap=49) == (6, 7)
+    assert caught(hull_census, 66, 1, cap=65) == (64, 65)
+    assert caught(hull_census, 64, 1, cap=63) == (63, 64)  # 2^63 lanes
+    assert caught(are_equivalent, wide, wide) == (16, 21)
+    tall = LinearCode(BitMatrix.from_strings(["1" + "0" * 29]))
+    assert caught(tall.covering_radius) == (24, 29)
+    monkeypatch.setenv("HULLFORGE_MAX_K", "3")
+    assert caught(LinearCode(gf2.identity(5)).min_distance) == (3, 5)
+
+
 def _sym_rows(t: int, idx: int) -> tuple[int, ...]:
     """The t x t symmetric matrix whose upper triangle is packed in idx."""
     rows = [0] * t
@@ -506,6 +528,18 @@ def test_claim_validation():
 # ------------------------------------------------------------ equivalence
 
 
+def _permuted_rows(gen: BitMatrix, perm) -> BitMatrix:
+    """Move column j of gen to column perm[j]."""
+    rows = []
+    for bits in gen.row_bits:
+        moved = 0
+        for j in range(gen.ncols):
+            if bits >> j & 1:
+                moved |= 1 << perm[j]
+        rows.append(moved)
+    return BitMatrix(gen.ncols, tuple(rows))
+
+
 def test_equivalent_to_itself(entries):
     code = entries["Csecond_12_7_4"].code()
     verdict = are_equivalent(code, code)
@@ -519,7 +553,7 @@ def test_cyclic_shift_is_equivalent(entries):
     shifted = LinearCode(BitMatrix.from_strings(rows))
     verdict = are_equivalent(code, shifted)
     assert verdict.equivalent is True
-    permuted = search._permuted_rows(code.canonical_gen(), verdict.permutation)
+    permuted = _permuted_rows(code.canonical_gen(), verdict.permutation)
     assert LinearCode(permuted).same_row_space(shifted)
 
 
@@ -569,13 +603,152 @@ def test_permuted_codes_are_equivalent(data):
     ]
     code = LinearCode(BitMatrix(n, tuple(rows)))
     perm = data.draw(st.permutations(range(n)))
-    permuted = LinearCode(search._permuted_rows(code.canonical_gen(), perm))
+    permuted = LinearCode(_permuted_rows(code.canonical_gen(), perm))
     verdict = are_equivalent(code, permuted)
     assert verdict.equivalent is True
-    again = search._permuted_rows(code.canonical_gen(), verdict.permutation)
+    again = _permuted_rows(code.canonical_gen(), verdict.permutation)
     assert LinearCode(again).same_row_space(permuted)
     # and the relation is symmetric
     assert are_equivalent(permuted, code).equivalent is True
+
+
+def _dict_profiles(code: LinearCode):
+    # the per-codeword dict loop _column_profiles replaced, kept as its oracle
+    n = code.n
+    unary = [dict() for _ in range(n)]
+    pair = [[dict() for _ in range(n)] for _ in range(n)]
+    for bits in code.iter_codewords():
+        w = bits.bit_count()
+        if not w:
+            continue
+        supp = [i for i in range(n) if bits >> i & 1]
+        for i in supp:
+            unary[i][w] = unary[i].get(w, 0) + 1
+        for a, i in enumerate(supp):
+            for j in supp[a + 1 :]:
+                pair[i][j][w] = pair[i][j].get(w, 0) + 1
+                pair[j][i][w] = pair[j][i].get(w, 0) + 1
+    sig = [tuple(sorted(u.items())) for u in unary]
+    return sig, pair
+
+
+def _old_are_equivalent(a: LinearCode, b: LinearCode, node_cap: int):
+    # the dict-profile search with a canonical-form leaf test, kept as
+    # the oracle for verdicts and permutations
+    if a.same_row_space(b):
+        return EquivalenceVerdict(True, tuple(range(a.n)))
+    if a.weight_distribution() != b.weight_distribution():
+        return EquivalenceVerdict(False)
+    if a.hull_dim() != b.hull_dim():
+        return EquivalenceVerdict(False)
+    n = a.n
+    sig_a, pair_a = _dict_profiles(a)
+    sig_b, pair_b = _dict_profiles(b)
+    candidates = [[j for j in range(n) if sig_b[j] == sig_a[i]] for i in range(n)]
+    if any(not c for c in candidates):
+        return EquivalenceVerdict(False)
+    order = sorted(range(n), key=lambda i: len(candidates[i]))
+    basis_b = b.canonical_gen()
+    assigned, perm, used = [], [-1] * n, [False] * n
+    nodes = 0
+
+    def extend(depth):
+        nonlocal nodes
+        if depth == n:
+            permuted = _permuted_rows(a.canonical_gen(), perm)
+            if LinearCode(permuted).canonical_gen() == basis_b:
+                return EquivalenceVerdict(True, tuple(perm))
+            return None
+        i = order[depth]
+        for j in candidates[i]:
+            if used[j]:
+                continue
+            nodes += 1
+            if nodes > node_cap:
+                return EquivalenceVerdict(None)
+            if any(pair_a[i][i0] != pair_b[j][j0] for i0, j0 in assigned):
+                continue
+            perm[i], used[j] = j, True
+            assigned.append((i, j))
+            found = extend(depth + 1)
+            assigned.pop()
+            perm[i], used[j] = -1, False
+            if found is not None:
+                return found
+        return None
+
+    verdict = extend(0)
+    return EquivalenceVerdict(False) if verdict is None else verdict
+
+
+def _scrambled(code: LinearCode, rng: random.Random) -> LinearCode:
+    """code under a random column permutation and change of basis."""
+    perm = list(range(code.n))
+    rng.shuffle(perm)
+    rows = list(_permuted_rows(code.gen, perm).row_bits)
+    for i in range(len(rows)):
+        for j in range(len(rows)):
+            if i != j and rng.random() < 0.4:
+                rows[i] ^= rows[j]
+    return LinearCode(BitMatrix(code.n, tuple(rows)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_column_profiles_match_dict_loop(data):
+    n = data.draw(st.integers(1, search.EQUIV_CAP))
+    k = data.draw(st.integers(1, min(n, 12)))
+    rows = data.draw(st.lists(st.integers(1, (1 << n) - 1), min_size=k, max_size=k))
+    code = LinearCode(BitMatrix(n, tuple(rows)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(code_mod, "CHUNK_BITS", data.draw(st.integers(2, 3)))
+        sig, pair = search._column_profiles(code)
+    old_sig, old_pair = _dict_profiles(code)
+
+    def as_dict(counts):
+        return {w: c for w, c in enumerate(counts) if c}
+
+    assert [tuple(as_dict(s).items()) for s in sig] == old_sig
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                assert as_dict(pair[i][j]) == old_pair[i][j]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_equivalence_matches_old_search_on_scrambled_codes(data):
+    n = data.draw(st.integers(2, 11))
+    k = data.draw(st.integers(1, n - 1))
+    rows = data.draw(st.lists(st.integers(1, (1 << n) - 1), min_size=k, max_size=k))
+    a = LinearCode(BitMatrix(n, tuple(rows)))
+    rng = random.Random(data.draw(st.integers(0, 2**32), label="scramble"))
+    b = _scrambled(a, rng)
+    cap = data.draw(st.sampled_from([search.NODE_CAP, 1, 2, 5, 20]), label="node_cap")
+    verdict = are_equivalent(a, b, node_cap=cap)
+    assert verdict == _old_are_equivalent(a, b, cap)
+    if cap == search.NODE_CAP:
+        assert verdict.equivalent is True
+
+
+@pytest.mark.parametrize("n,k", [(9, 4), (10, 4), (10, 5)])
+def test_equivalence_matches_old_search_on_equal_weight_distributions(n, k):
+    # random codes grouped by weight distribution and hull dimension, so
+    # the verdict comes from the profiles and the backtracking
+    rng = random.Random(n * 100 + k)
+    groups = collections.defaultdict(list)
+    for _ in range(300):
+        rows = tuple(1 << i | rng.getrandbits(n - k) << k for i in range(k))
+        code = LinearCode(BitMatrix(n, rows))
+        groups[code.weight_distribution(), code.hull_dim()].append(code)
+    verdicts = collections.Counter()
+    for codes in groups.values():
+        for a, b in zip(codes, codes[1:]):
+            for cap in (search.NODE_CAP, 4):
+                verdict = are_equivalent(a, b, node_cap=cap)
+                assert verdict == _old_are_equivalent(a, b, cap)
+                verdicts[verdict.equivalent] += 1
+    assert verdicts[True] and verdicts[False] and verdicts[None]
 
 
 # ----------------------------------------------------------------- records
