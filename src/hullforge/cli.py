@@ -31,6 +31,7 @@ from .errors import (
 )
 from .gf2 import BitVector, mat_mul, rank, transpose
 from .search import (
+    EXHAUSTIVE_CAP,
     are_equivalent,
     exhaustive_codes,
     format_claim,
@@ -117,14 +118,14 @@ def cmd_sweep(args) -> int:
         kinds=kinds,
         seed_id=mf.label,
     )
-    for rec in records:
-        print(format_sweep_record(rec))
+    if records:
+        sys.stdout.write("\n".join(map(format_sweep_record, records)) + "\n")
     print(f"# records: {len(records)}")
     return EXIT_OK
 
 
 def cmd_exhaustive(args) -> int:
-    claim = exhaustive_codes(args.n, args.k, args.h)
+    claim = exhaustive_codes(args.n, args.k, args.h, cap=args.cap)
     print(format_claim(claim))
     return EXIT_OK
 
@@ -332,6 +333,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--h", type=int, required=True)
+    p.add_argument(
+        "--cap", type=int, default=None, help=f"k(n-k) ceiling (default {EXHAUSTIVE_CAP})"
+    )
     p.set_defaults(func=cmd_exhaustive)
 
     p = sub.add_parser("eaqecc", help="quantum parameter sets")

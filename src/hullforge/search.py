@@ -15,6 +15,9 @@ shortest-path pass over the 2^(n+1) cosets.
 Both read hull dimensions from a Gram rank, k - rank(G G^T); the
 Zassenhaus intersection that checks it runs only when LinearCode.hull()
 is called, as the test suite does.
+The fast path also renders the kept records' lines from the same arrays
+in one NumPy pass into SweepRecord.line, which format_sweep_record
+returns; reference and hand-built records go through its f-string.
 Equivalence search takes its column and column-pair profiles from the
 codeword chunks of code._codeword_chunks, one matrix product per weight
 instead of a loop over the codewords; exhaustive lanes and codeword
@@ -24,7 +27,7 @@ chunks share code.CHUNK_BITS.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
 from typing import Iterator, Sequence
@@ -58,6 +61,7 @@ EXHAUSTIVE_CAP = 22
 EQUIV_CAP = 16
 SYM_RANK_CAP = 6  # _sym_rank_lut(t) fills 2^(t(t+1)/2) lanes: 0.7 s at t=6, 2^28 at 7
 NODE_CAP = 10_000_000
+RENDER_CHUNK = 256  # sweep records per text pass: larger chunks raise the peak RSS
 
 _KINDS = tuple(ConstructionKind)
 _KIND_ORDER = {k: i for i, k in enumerate(_KINDS)}
@@ -67,13 +71,16 @@ _CLAIM_METHODS = ("sweep", "exhaustive", "corpus")
 
 @dataclass(frozen=True)
 class SweepRecord:
-    """One kept child of an extension sweep."""
+    """One kept child of an extension sweep.  line is its SWEEP line when
+    the fast path rendered it, else None; it adds nothing to the other
+    fields, so equality, hashing and repr leave it out."""
 
     seed_id: str
     x: BitVector
     kind: ConstructionKind
     child_params: tuple[int, int, int, int]
     canonical_gen: BitMatrix
+    line: str | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -311,10 +318,11 @@ def _lane_rref(rows: list[np.ndarray], ncols: int) -> np.ndarray:
     return np.stack(basis, axis=1)
 
 
-def _sweep_records(seed: LinearCode, sid: str, target_h: int, min_d: int, kinds) -> list:
+def _kept_children(seed: LinearCode, target_h: int, min_d: int, kinds):
     """Fast path: x by masks, child rows in closed form over the seed's
     canonical rows r_i (y_i = x . r_i is bit i of ypack), one RREF each.
-    Child rank and Gram hull are checked against the kernel and the claim."""
+    Child rank and Gram hull are checked against the kernel and the claim.
+    Returns x, kind index, d and the (records, k+1) echelon rows per record."""
     n, k = seed.n, seed.k
     h_arr, d_arr, _dc, ypack, odd = sweep_children(seed)
     applicable = (odd, ~odd & (ypack == 0), ~odd & (ypack != 0), ~odd)
@@ -346,14 +354,55 @@ def _sweep_records(seed: LinearCode, sid: str, target_h: int, min_d: int, kinds)
         msg = f"rank {np.count_nonzero(echelon[at])} (want {k + 1}), hull {hull[at]} (kernel"
         msg += f" {target_h}, predicted {sorted(predicted_hull(kind, seed.hull_dim()))})"
         raise ClaimViolationError(f"sweep child {kind} at x={xs[at]}: {msg}")
-    canon = echelon[echelon != 0].reshape(-1, k + 1).tolist()
-    ds = np.stack([d_arr[kind] for kind in _KINDS])[ks, xs].tolist()
+    ds = np.stack([d_arr[kind] for kind in _KINDS])[ks, xs]
+    return xs, ks, ds, echelon[echelon != 0].reshape(-1, k + 1)
+
+
+def _sweep_records(seed: LinearCode, sid: str, target_h: int, min_d: int, kinds) -> list:
+    """Fast-path records with their lines, a chunk at a time so that the
+    kernel's arrays are freed and one chunk's text is alive at once."""
+    n, k = seed.n, seed.k
+    xs, ks, ds, canon = _kept_children(seed, target_h, min_d, kinds)
+    records = []
+    for s in range(0, len(xs), RENDER_CHUNK):
+        part = slice(s, s + RENDER_CHUNK)
+        keys = list(zip(ks[part].tolist(), ds[part].tolist()))
+        lines = _render_lines(sid, n, target_h, xs[part], keys, canon[part])
+        records += [
+            SweepRecord(
+                sid, BitVector(n, x), _KINDS[i], (n + 2, k + 1, d, target_h),
+                BitMatrix(n + 2, tuple(r)), line,
+            )
+            for x, (i, d), r, line in zip(xs[part].tolist(), keys, canon[part].tolist(), lines)
+        ]
+    return records
+
+
+def _bit_text(words: np.ndarray, width: int) -> np.ndarray:
+    """The low `width` bits of each word (at most 32) as b"0"/b"1", bit 0
+    first as in BitVector.to01 and BitMatrix.to_strings."""
+    octets = words.astype("<u4")[..., None].view(np.uint8)
+    return np.unpackbits(octets, axis=-1, bitorder="little")[..., :width] + ord("0")
+
+
+def _render_lines(sid: str, n: int, h: int, xs, keys: list, canon) -> list[str]:
+    """format_sweep_record's line for each record, keys[j] being its
+    (kind index, d): the bits of x and of the child rows, a comma slot
+    after each row, become ASCII and decode at once, and each line joins
+    its fixed-width slices with the prefix and a middle cached per
+    (kind, d)."""
+    count, k1 = canon.shape
+    n2, step = n + 2, k1 * (n + 3)
+    xtext = _bit_text(xs, n).tobytes().decode()
+    gen = np.full((count, k1, n2 + 1), ord(","), dtype=np.uint8)
+    gen[..., :n2] = _bit_text(canon, n2)
+    gtext = gen.tobytes().decode()
+    prefix = f"SWEEP {sid} "
+    middle = {(i, d): f" {_KINDS[i].value} {n2} {k1} {d} {h} " for i, d in set(keys)}
+    spans = zip(range(0, count * n, n), range(0, count * step, step), keys)
     return [
-        SweepRecord(
-            sid, BitVector(n, x), _KINDS[i], (n + 2, k + 1, d, target_h),
-            BitMatrix(n + 2, tuple(r)),
-        )
-        for x, i, d, r in zip(xs.tolist(), ks.tolist(), ds, canon)
+        prefix + xtext[a : a + n] + middle[key] + gtext[b : b + step - 1]
+        for a, b, key in spans
     ]
 
 
@@ -855,6 +904,9 @@ def are_equivalent(
 
 
 def format_sweep_record(rec: SweepRecord) -> str:
+    """The record's SWEEP line: rec.line if set, else from the fields."""
+    if rec.line is not None:
+        return rec.line
     n, k, d, h = rec.child_params
     gen = ",".join(rec.canonical_gen.to_strings())
     return f"SWEEP {rec.seed_id} {rec.x.to01()} {rec.kind.value} {n} {k} {d} {h} {gen}"

@@ -14,7 +14,8 @@ import pytest
 
 from hullforge import search
 from hullforge.cli import EXIT_LIMIT, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
-from hullforge.corpus import data_root
+from hullforge.code import LinearCode
+from hullforge.corpus import data_root, parse_matrix_file
 
 H1 = data_root() / "h1"
 H3 = data_root() / "h3"
@@ -99,6 +100,20 @@ def test_sweep_output(capsys):
     assert [first[4], first[6], first[7]] == ["12", "3", "2"]
 
 
+def test_sweep_stdout_is_the_reference_lines(capsys):
+    seed = LinearCode(parse_matrix_file(Path(SEED).read_text()).matrix)
+    want = "".join(
+        search.format_sweep_record(r) + "\n"
+        for r in search.sweep_extensions(seed, 2, 3, seed_id="seed_10_6_3", engine="reference")
+    )
+    rc, out = run(capsys, "sweep", SEED, "--target-h", "2", "--min-d", "3")
+    assert rc == EXIT_OK
+    assert out == want + "# records: 208\n"
+    rc, out = run(capsys, "sweep", SEED, "--target-h", "2", "--min-d", "30")
+    assert rc == EXIT_OK
+    assert out == "# records: 0\n"
+
+
 def test_sweep_kind_filter(capsys):
     rc, out = run(
         capsys, "sweep", SEED, "--target-h", "2", "--min-d", "3", "--kinds", "II"
@@ -134,6 +149,20 @@ def test_exhaustive_over_cap(capsys):
     rc = main(["exhaustive", "--n", "20", "--k", "10", "--h", "0"])
     assert rc == EXIT_LIMIT
     assert "cap" in capsys.readouterr().err
+
+
+def test_exhaustive_raised_cap(capsys):
+    # k(n-k) = 30 is over the default cap of 22
+    rc, out = run(capsys, "exhaustive", "--n", "11", "--k", "5", "--h", "1", "--cap", "30")
+    assert rc == EXIT_OK
+    assert out == search.format_claim(search.exhaustive_codes(11, 5, 1, cap=30)) + "\n"
+    assert out.startswith("CLAIM 11 5 1 4 h_optimal exhaustive ")
+
+
+def test_exhaustive_over_raised_cap(capsys):
+    rc = main(["exhaustive", "--n", "11", "--k", "5", "--h", "1", "--cap", "29"])
+    assert rc == EXIT_LIMIT
+    assert "k(n-k) = 30 exceeds enumeration cap 29" in capsys.readouterr().err
 
 
 def test_eaqecc_output(capsys):

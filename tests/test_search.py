@@ -8,9 +8,11 @@ the named oracle values are checked.
 from __future__ import annotations
 
 import collections
+import dataclasses
 import itertools
 import random
 import time
+import unittest.mock
 
 import numpy as np
 import pytest
@@ -148,7 +150,8 @@ def test_sweep_cap():
 
 
 def test_sweep_cap_counts_lane_steps():
-    # [16,15] passes n <= SWEEP_CAP, but _coset_scan would do 2^31 lane-steps
+    # [16,15] passes n <= SWEEP_CAP but not n + k <= 30: every engine and
+    # sweep_children must refuse it before doing any work
     even = LinearCode(BitMatrix(16, tuple(1 | 1 << i for i in range(1, 16))))
     start = time.perf_counter()
     for engine in ("auto", "reference"):
@@ -768,6 +771,54 @@ def test_sweep_record_line(seed_10_6_3):
     assert [int(f) for f in fields[3:7]] == [12, 7, recs[0].child_params[2], 2]
     gen_rows = fields[7].split(",")
     assert len(gen_rows) == 7 and all(len(r) == 12 for r in gen_rows)
+
+
+def _fstring_line(rec):
+    """format_sweep_record as it was before records carried a rendered
+    line: the oracle for the batch renderer."""
+    n, k, d, h = rec.child_params
+    gen = ",".join(rec.canonical_gen.to_strings())
+    return f"SWEEP {rec.seed_id} {rec.x.to01()} {rec.kind.value} {n} {k} {d} {h} {gen}"
+
+
+ALL_ONES_16 = LinearCode(BitMatrix(16, ((1 << 16) - 1,)))  # II children at d = 10
+ONES_15_OF_16 = LinearCode(BitMatrix(16, ((1 << 15) - 1,)))  # III children at d = 10
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    sweep_seeds(max_n=16),
+    st.sets(st.sampled_from(list(ConstructionKind)), min_size=1),
+    st.integers(0, 2),
+    st.integers(0, 2),
+    st.text(max_size=6),
+    st.integers(1, 40),
+)
+@example(ALL_ONES_16, set(ConstructionKind), 1, 10, "ones 16", 1024)
+@example(ONES_15_OF_16, {ConstructionKind.III}, 1, 10, "séed 𝔽₂ #1", 1000)
+@example(LinearCode(BitMatrix(6, (0b111111,))), set(ConstructionKind), 0, 1, "", 7)
+@example(LinearCode(BitMatrix(14, (0x3FFF, 0xFF))), set(ConstructionKind), 1, 1, " ", 3)
+def test_batch_lines_match_the_fstring(seed, kinds, lift, min_d, seed_id, chunk):
+    # children have hull ell, ell + 1 or ell + 2 for the seed's hull ell;
+    # n + 2 crosses the 8- and 16-bit edges of the unpacked words, and a
+    # small chunk spreads the records over several chunks
+    assume(seed.n + seed.k <= 30)
+    target_h = seed.hull_dim() + lift
+    with unittest.mock.patch.object(search, "RENDER_CHUNK", chunk):
+        recs = sweep_extensions(seed, target_h, min_d, kinds=kinds, seed_id=seed_id)
+    for rec in recs:
+        assert rec.line is not None
+        assert format_sweep_record(rec) == rec.line == _fstring_line(rec)
+        bare = SweepRecord(rec.seed_id, rec.x, rec.kind, rec.child_params, rec.canonical_gen)
+        assert bare.line is None and format_sweep_record(bare) == rec.line
+        assert bare == rec and hash(bare) == hash(rec)
+        assert dataclasses.replace(rec, line="other") == rec
+    assert "line" not in repr(recs[:1])
+
+
+def test_sweep_keeping_no_records_renders_nothing():
+    assert sweep_extensions(ALL_ONES_16, 2, 11) == []
+    assert sweep_extensions(ALL_ONES_16, 2, 1, kinds=[]) == []
 
 
 def test_claim_lines():
