@@ -12,6 +12,9 @@ Weight distributions, coset leaders and equivalence profiles read the
 2^k codewords from one NumPy kernel, _codeword_chunks, in Gray order and
 in uint64 limb chunks of at most 2^CHUNK_BITS words, so memory is one
 chunk whatever k is; iter_codewords yields the same sequence as ints.
+The covering radius reads a uint8 table of the 2^(n-k) syndromes
+instead, filled by _min_plus_pass once per distinct column of H; the
+sweep's coset kernel in search.py runs the same pass.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -153,6 +155,12 @@ def _codeword_chunks(rows: Sequence[int], n: int) -> Iterator[np.ndarray]:
     for m in range(1, 1 << (k - low)):
         acc ^= limbs[low + (m & -m).bit_length() - 1]
         yield (table[::-1] if m & 1 else table) ^ acc
+
+
+def _min_plus_pass(cube: np.ndarray, axes: tuple[int, ...]) -> None:
+    """d = min(d, d[s ^ m] + 1) in place over a bit cube (or a basic-slice
+    view of one), for the move m that flips the given axes."""
+    np.minimum(cube, np.flip(cube, axes) + 1, out=cube)
 
 
 class LinearCode:
@@ -291,7 +299,11 @@ class LinearCode:
         return CosetWeightProfile(x=x, min_weight=best, leader=BitVector(self.n, leader))
 
     def covering_radius(self, *, cap: int = SYNDROME_CAP) -> int:
-        """Largest coset-leader weight, filled in by syndrome table."""
+        """Largest coset-leader weight over the 2^(n-k) syndromes.
+
+        One min-plus pass per distinct nonzero column of H is exact: the
+        moves are commuting involutions, so a leader uses each at most once.
+        """
         r = self.n - self.k
         if r == 0:
             return 0
@@ -300,36 +312,19 @@ class LinearCode:
                 f"syndrome table of 2^{r} entries exceeds cap n-k <= {cap}",
                 limit=cap, requested=r,
             )
-        hmat = self.parity_check()
-        col_syn = []
-        for j in range(self.n):
-            s = 0
-            for i, row in enumerate(hmat.row_bits):
-                s |= (row >> j & 1) << i
-            col_syn.append(s)
-        total = 1 << r
-        seen = bytearray(total)
-        seen[0] = 1
-        remaining = total - 1
-        radius = 0
-        for w in range(1, self.n + 1):
-            if remaining == 0:
-                break
-            for cols in combinations(range(self.n), w):
-                s = 0
-                for j in cols:
-                    s ^= col_syn[j]
-                if not seen[s]:
-                    seen[s] = 1
-                    remaining -= 1
-                    radius = w
-                    if remaining == 0:
-                        break
+        # a leader weighs at most rank H <= r, so r + 1 marks the unreached
+        # and r + 2 still fits in uint8 (n + 1 would wrap from n = 255)
+        dist = np.full(1 << r, r + 1, dtype=np.uint8)
+        dist[0] = 0
+        cube = dist.reshape((2,) * r)  # axis r - 1 - i holds syndrome bit i
+        for s in set(gf2.transpose(self.parity_check()).row_bits) - {0}:
+            _min_plus_pass(cube, tuple(r - 1 - i for i in range(r) if s >> i & 1))
+        remaining = int(np.count_nonzero(dist > r))
         if remaining:
             raise ClaimViolationError(
                 f"{remaining} of 2^{r} syndromes have no coset leader of weight <= {self.n}"
             )
-        return radius
+        return int(dist.max())
 
     # --- lengthening by one coordinate ------------------------------------
 

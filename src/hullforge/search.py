@@ -10,8 +10,9 @@ The fast path's distance kernel pays per class, not per message: the
 no-top child distances depend on x only through y = x G^T and come, for
 all 2^k values of y at once, from one Walsh-Hadamard transform of the
 seed's weight classes; the with-top and coset weights are coset-leader
-weights of the codes D_y = {(y.u | uG)}, found for every y and x by one
-shortest-path pass over the 2^(n+1) cosets.
+weights of the codes D_y = {(y.u | uG)}, found for every y and x by
+min-plus passes over the 2^(n+1) cosets, the code._min_plus_pass that
+LinearCode.covering_radius runs over the syndromes.
 Both read hull dimensions from a Gram rank, k - rank(G G^T); the
 Zassenhaus intersection that checks it runs only when LinearCode.hull()
 is called, as the test suite does.
@@ -35,7 +36,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .buildup import ConstructionKind, construct, predicted_hull
-from .code import CHUNK_BITS, LinearCode, _codeword_chunks, _weights
+from .code import CHUNK_BITS, LinearCode, _codeword_chunks, _min_plus_pass, _weights
 from .errors import ClaimViolationError, DimensionError, ResourceLimitError, UsageError
 from .gf2 import BitMatrix, BitVector, dot, gram, transpose
 
@@ -197,13 +198,11 @@ def _coset_leader_weights(reduced: list[int], n: int) -> np.ndarray:
     dist[: 1 << k] = 0
     cube = dist.reshape((2,) * (n + 1))  # axis n - b holds state bit b
     for axis in range(n - k + 1):  # c, then the free bits
-        np.minimum(cube, np.flip(cube, axis) + 1, out=cube)
+        _min_plus_pass(cube, (axis,))
     for i, part in enumerate(reduced):
         axes = tuple(n - k - j for j in range(n - k) if part >> j & 1)
-        for yi in (0, 1):
-            half = (slice(None),) * (n - i) + (yi,)
-            moved = np.flip(cube, axes + (0,) * yi)[half]
-            np.minimum(cube[half], moved + 1, out=cube[half])
+        for yi in (0, 1):  # the half with y_i = yi; its moves flip lower axes only
+            _min_plus_pass(cube[(slice(None),) * (n - i) + (yi,)], axes + (0,) * yi)
     return dist
 
 

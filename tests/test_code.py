@@ -266,6 +266,24 @@ def test_covering_radius_cap():
         c.covering_radius()
 
 
+def test_covering_radius_of_a_wide_code():
+    # [300,292] whose H has only unit columns: syndrome t is reached by
+    # weight(t) columns, so rho = 8; n + 1 = 301 would not fit in uint8
+    rows = tuple(1 << j | 1 << (j % 8) for j in range(8, 300))
+    c = LinearCode(BitMatrix(300, rows))
+    assert (c.n, c.k) == (300, 292)
+    assert c.covering_radius() == 8
+
+
+def test_covering_radius_of_a_28_8_code_is_fast():
+    rng = random.Random(28)
+    c = LinearCode(BitMatrix(28, tuple(rng.getrandbits(28) | 1 << i for i in range(8))))
+    start = time.perf_counter()
+    rho = c.covering_radius()
+    assert time.perf_counter() - start < 0.3  # several seconds as a combinations walk
+    assert rho == 10
+
+
 def test_augment_b12():
     c = LinearCode.from_strings(B12)
     ext = c.augment(BitVector.from01("000000010101"))
@@ -463,6 +481,45 @@ def test_coset_leader_matches_gray_loop(code_bits, member, raw):
         prof = c.coset_min_weight(x)
     assert (prof.min_weight, prof.leader.bits) == _gray_coset(c, x)
     assert prof.leader.len == c.n
+
+
+def _combinations_radius(c: LinearCode) -> int:
+    # the column-combinations walk covering_radius replaced, kept as its oracle
+    r = c.n - c.k
+    if r == 0:
+        return 0
+    hmat = c.parity_check()
+    col_syn = []
+    for j in range(c.n):
+        s = 0
+        for i, row in enumerate(hmat.row_bits):
+            s |= (row >> j & 1) << i
+        col_syn.append(s)
+    seen = {0}
+    radius = 0
+    for w in range(1, c.n + 1):
+        if len(seen) == 1 << r:
+            break
+        for cols in combinations(range(c.n), w):
+            s = 0
+            for j in cols:
+                s ^= col_syn[j]
+            if s not in seen:
+                seen.add(s)
+                radius = w
+    assert len(seen) == 1 << r
+    return radius
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_chunked_codes(n_max=14, k_max=14))
+@example((from_generator(gf2.identity(9)), 2))  # k = n
+@example((LinearCode(BitMatrix(6, (0b000111, 0b111000, 0b111111))), 2))  # repaired
+@example((LinearCode(BitMatrix(7, (0b0000001, 0b0001110))), 2))  # zero column in H
+@example((LinearCode(BitMatrix(7, (0b0000011, 0b0001100, 0b1110000))), 2))  # repeated
+def test_covering_radius_matches_combinations_walk(code_bits):
+    c, _ = code_bits
+    assert c.covering_radius() == _combinations_radius(c)
 
 
 def test_weight_distribution_of_a_40_22_code_is_fast():
