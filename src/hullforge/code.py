@@ -8,10 +8,11 @@ the hull report's Zassenhaus basis, and the dual it needs, are built
 only when hull() is called, and a basis whose size disagrees with the
 Gram rank raises ClaimViolationError.
 
-Weight distributions, coset leaders and equivalence profiles read the
-2^k codewords from one NumPy kernel, _codeword_chunks, in Gray order and
-in uint64 limb chunks of at most 2^CHUNK_BITS words, so memory is one
-chunk whatever k is; iter_codewords yields the same sequence as ints.
+Weight distributions, coset leaders, equivalence profiles and the
+distances of exhaustive search's lanes read the 2^k codewords from one
+NumPy kernel, _codeword_chunks, in Gray order and in chunks of at most
+2^CHUNK_BITS words times lanes, so memory is one chunk whatever k is;
+iter_codewords yields the same sequence as ints.
 The covering radius reads a uint8 table of the 2^(n-k) syndromes
 instead, filled by _min_plus_pass once per distinct column of H; the
 sweep's coset kernel in search.py runs the same pass.
@@ -128,14 +129,16 @@ def _limbs(values: Sequence[int], n: int) -> np.ndarray:
 
 
 def _weights(words: np.ndarray) -> np.ndarray:
-    """Hamming weight of each limb row."""
+    """Hamming weight of each limb row, summed over the last axis."""
     counts = np.bitwise_count(words)
-    return counts[:, 0] if counts.shape[1] == 1 else counts.sum(axis=1, dtype=np.uint16)
+    return counts[..., 0] if counts.shape[-1] == 1 else counts.sum(axis=-1, dtype=np.uint16)
 
 
-def _codeword_chunks(rows: Sequence[int], n: int) -> Iterator[np.ndarray]:
-    """All 2^k codewords of the rows' span, in iter_codewords order, as
-    (words, ceil(n/64)) uint64 limb arrays of at most 2^CHUNK_BITS words.
+def _codeword_chunks(rows: Sequence[np.ndarray]) -> Iterator[np.ndarray]:
+    """All 2^k sums of the k rows in iter_codewords order, in chunks of
+    shape (words, *lanes, limbs): rows of shape (limbs,) from _limbs for
+    one code, or (lanes, 1) for one free row of many codes.  A chunk
+    holds at most 2^CHUNK_BITS words times lanes, and at least one word.
 
     The low rows build one table by reflected doubling: after row i it
     is the table so far followed by the same table reversed and XORed
@@ -145,15 +148,16 @@ def _codeword_chunks(rows: Sequence[int], n: int) -> Iterator[np.ndarray]:
     """
     k = len(rows)
     _check_enum(k)
-    limbs = _limbs(rows, n)
-    low = min(k, CHUNK_BITS)
-    table = np.zeros((1 << low, limbs.shape[1]), dtype=np.uint64)
+    shape = rows[0].shape
+    lanes = rows[0].size // shape[-1]
+    low = min(k, max(0, CHUNK_BITS - (lanes - 1).bit_length()))
+    table = np.zeros((1 << low, *shape), dtype=rows[0].dtype)
     for i in range(low):
-        np.bitwise_xor(table[(1 << i) - 1 :: -1], limbs[i], out=table[1 << i : 2 << i])
+        np.bitwise_xor(table[(1 << i) - 1 :: -1], rows[i], out=table[1 << i : 2 << i])
     yield table
-    acc = np.zeros(limbs.shape[1], dtype=np.uint64)
+    acc = np.zeros(shape, dtype=rows[0].dtype)
     for m in range(1, 1 << (k - low)):
-        acc ^= limbs[low + (m & -m).bit_length() - 1]
+        acc ^= rows[low + (m & -m).bit_length() - 1]
         yield (table[::-1] if m & 1 else table) ^ acc
 
 
@@ -270,7 +274,7 @@ class LinearCode:
     @cached_property
     def _weight_distribution(self) -> WeightDistribution:
         counts = np.zeros(self.n + 1, dtype=np.int64)
-        for words in _codeword_chunks(self.gen.row_bits, self.n):
+        for words in _codeword_chunks(_limbs(self.gen.row_bits, self.n)):
             counts += np.bincount(_weights(words), minlength=self.n + 1)
         return WeightDistribution.from_mapping(dict(enumerate(counts.tolist())))
 
@@ -287,7 +291,7 @@ class LinearCode:
             raise DimensionError("coset representative has wrong length")
         target = _limbs([x.bits], self.n)[0]
         best = None
-        for words in _codeword_chunks(self.gen.row_bits, self.n):
+        for words in _codeword_chunks(_limbs(self.gen.row_bits, self.n)):
             coset = words ^ target
             weights = _weights(coset)
             at = int(weights.argmin())

@@ -21,8 +21,9 @@ in one NumPy pass into SweepRecord.line, which format_sweep_record
 returns; reference and hand-built records go through its f-string.
 Equivalence search takes its column and column-pair profiles from the
 codeword chunks of code._codeword_chunks, one matrix product per weight
-instead of a loop over the codewords; exhaustive lanes and codeword
-chunks share code.CHUNK_BITS.
+instead of a loop over the codewords.  Exhaustive search reads the same
+kernel with a lane axis: each kept free block is one lane, and the
+message weight is added per Gray position.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .buildup import ConstructionKind, construct, predicted_hull
-from .code import CHUNK_BITS, LinearCode, _codeword_chunks, _min_plus_pass, _weights
+from .code import CHUNK_BITS, LinearCode, _codeword_chunks, _limbs, _min_plus_pass, _weights
 from .errors import ClaimViolationError, DimensionError, ResourceLimitError, UsageError
 from .gf2 import BitMatrix, BitVector, dot, gram, transpose
 
@@ -602,35 +603,20 @@ def _hull_dims(rows: list[np.ndarray], k: int, m: int) -> np.ndarray:
     return (t - lut[idx]).astype(np.uint8)
 
 
-def _min_distances(rows: list[np.ndarray], k: int, prune_below: int) -> np.ndarray:
-    """Per-lane minimum codeword weight over all 2^k - 1 messages.
-
-    Lanes whose running minimum can no longer exceed prune_below are
-    periodically dropped; dropped lanes report weight 0.  Pass
-    prune_below=0 to keep every lane exact.
-    """
-    lanes = rows[0].shape[0]
-    out = np.zeros(lanes, dtype=np.uint8)
-    alive = np.arange(lanes)
-    cur = np.zeros(lanes, dtype=rows[0].dtype)
-    curmin = np.full(lanes, 255, dtype=np.uint8)
-    rows = list(rows)
-    for t in range(1, 1 << k):
-        cur ^= rows[(t & -t).bit_length() - 1]
-        gray = t ^ (t >> 1)
-        w = np.bitwise_count(cur).astype(np.uint8) + np.uint8(gray.bit_count())
-        np.minimum(curmin, w, out=curmin)
-        if prune_below and (t & 63) == 0 and t + 1 < (1 << k):
-            keep = curmin >= prune_below
-            if not keep.all():
-                alive = alive[keep]
-                cur = cur[keep]
-                curmin = curmin[keep]
-                rows = [r[keep] for r in rows]
-                if alive.size == 0:
-                    return out
-    out[alive] = curmin
-    return out
+def _min_distances(rows: list[np.ndarray]) -> np.ndarray:
+    """Per-lane minimum weight of the nonzero codewords of [I | A]: the
+    free rows' sums from code._codeword_chunks plus the weight of the
+    message at each Gray position t, that of t ^ t >> 1."""
+    best = np.full(rows[0].shape, 255, dtype=np.uint8)
+    start = 0
+    for words in _codeword_chunks([r[:, None] for r in rows]):
+        t = np.arange(start, start + len(words), dtype=np.uint64)
+        weights = _weights(words) + np.bitwise_count(t ^ t >> 1)[:, None]
+        if not start:
+            weights[0] = 255  # the zero message
+        np.minimum(best, weights.min(axis=0), out=best)
+        start += len(words)
+    return best
 
 
 def _sorted_table(r: int, size: int, dtype) -> tuple[list[np.ndarray], np.ndarray]:
@@ -752,6 +738,8 @@ def exhaustive_codes(
     not 2^{k m}.  The sorted order is the lexicographically smallest of
     its row permutations, and lanes come in lexicographic order, so the
     first max-d lane is the witness the full enumeration would pick.
+    The distances come from code._codeword_chunks over the kept lanes,
+    so the 2^k messages per lane fall under the enumeration cap.
     """
     _check_exhaustive_cap(n, k, cap)
     m = n - k
@@ -773,7 +761,7 @@ def exhaustive_codes(
             continue
         rows = [r[keep] for r in rows]
         # a later lane only wins with a strictly larger distance
-        dists = _min_distances(rows, k, prune_below=best_d + 1)
+        dists = _min_distances(rows)
         at = int(np.argmax(dists))
         if dists[at] > best_d:
             best_d, best_free = int(dists[at]), [int(r[at]) for r in rows]
@@ -798,7 +786,7 @@ def _column_profiles(code: LinearCode):
     """
     n = code.n
     prof = np.zeros((n + 1, n, n))  # float64 sums are exact below 2^53
-    for words in _codeword_chunks(code.gen.row_bits, n):
+    for words in _codeword_chunks(_limbs(code.gen.row_bits, n)):
         weights = _weights(words)
         by_weight = words[np.argsort(weights)].astype("<u8", copy=False)
         bits = np.unpackbits(by_weight.view(np.uint8), axis=1, bitorder="little")

@@ -443,7 +443,7 @@ def test_codeword_chunks_follow_iter_codewords(code_bits):
     c, bits = code_bits
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(code_mod, "CHUNK_BITS", bits)
-        chunks = list(code_mod._codeword_chunks(c.gen.row_bits, c.n))
+        chunks = list(code_mod._codeword_chunks(code_mod._limbs(c.gen.row_bits, c.n)))
     assert all(ch.shape == (min(1 << c.k, 1 << bits), -(-c.n // 64)) for ch in chunks)
     words = [
         int.from_bytes(w.astype("<u8").tobytes(), "little") for ch in chunks for w in ch
@@ -536,5 +536,5 @@ def test_codeword_kernel_checks_the_enumeration_cap(monkeypatch):
     monkeypatch.setenv("HULLFORGE_MAX_K", "3")
     rows = tuple(1 << i for i in range(40))
     with pytest.raises(ResourceLimitError) as err:
-        next(code_mod._codeword_chunks(rows, 40))
+        next(code_mod._codeword_chunks(code_mod._limbs(rows, 40)))
     assert (err.value.limit, err.value.requested) == (3, 40)

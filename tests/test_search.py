@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import collections
 import dataclasses
+import hashlib
 import itertools
 import random
 import time
@@ -419,6 +420,66 @@ def test_sorted_free_blocks_in_lex_order(k, m, chunk_bits):
     assert lanes == want
 
 
+def _gray_min_distances(rows):
+    """The per-lane Gray loop _min_distances replaced, kept as its oracle
+    without the pruning it ran only when given a floor: 2^k - 1 steps,
+    each one pass over all lanes."""
+    cur = np.zeros(rows[0].shape, dtype=rows[0].dtype)
+    curmin = np.full(rows[0].shape, 255, dtype=np.uint8)
+    for t in range(1, 1 << len(rows)):
+        cur ^= rows[(t & -t).bit_length() - 1]
+        gray = t ^ (t >> 1)
+        w = np.bitwise_count(cur).astype(np.uint8) + np.uint8(gray.bit_count())
+        np.minimum(curmin, w, out=curmin)
+    return curmin
+
+
+@st.composite
+def free_lanes(draw):
+    """(m, k free rows of m bits each, one value per lane)."""
+    k = draw(st.integers(1, 10), label="k")
+    m = draw(st.integers(1, 20), label="m")
+    lanes = draw(st.integers(1, 70), label="lanes")
+    row = st.lists(st.integers(0, (1 << m) - 1), min_size=lanes, max_size=lanes)
+    return m, draw(st.lists(row, min_size=k, max_size=k))
+
+
+_RNG40 = random.Random(40)
+WIDE_FREE = [[_RNG40.getrandbits(40) for _ in range(9)] for _ in range(7)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(free_lanes(), st.integers(0, 4))
+@example((40, WIDE_FREE), 0)  # uint64 lanes, one word per chunk
+@example((3, [[7], [0]]), 1)  # one lane: odd steps read the 2-word table backwards
+@example((40, [[(1 << 40) - 1, 1 << 39, 0]]), 0)  # k = 1
+@example((3, [[0, 5, 7]]), 2)  # k = 1 with the lanes filling the budget
+def test_min_distances_match_gray_loop(block, chunk_bits):
+    m, free = block
+    rows = [np.array(r, dtype=search._lane_dtype(m)) for r in free]
+    # small chunks take the high steps and the reversed reads of the table
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(code_mod, "CHUNK_BITS", chunk_bits)
+        got = search._min_distances(rows)
+    want = _gray_min_distances(rows)
+    assert got.dtype == want.dtype == np.uint8
+    np.testing.assert_array_equal(got, want)
+
+
+def test_exhaustive_claim_bytes():
+    # every in-cap cell up to n = 13 and one h past min(k, n - k)
+    claims = [
+        format_claim(exhaustive_codes(n, k, h))
+        for n in range(1, 14)
+        for k in range(1, n + 1)
+        if k * (n - k) <= 22
+        for h in range(min(k, n - k) + 2)
+    ]
+    assert len(claims) == 234
+    digest = hashlib.sha256("\n".join(claims).encode()).hexdigest()
+    assert digest == "6558f12c515e01df38d768afc9b8c27083f6ed706fb3f399d67ff6ab9a611cb2"
+
+
 def test_hull_kernel_keeps_bits_past_32():
     # k = 34 rows of one free bit: the transposed side packs 34 bits per lane
     k, m = 34, 1
@@ -458,6 +519,7 @@ def test_resource_limits_report_the_requested_size(monkeypatch):
     assert caught(sweep_extensions, wide, 1) == (20, 21)
     assert caught(search.sweep_children, even) == (30, 31)
     assert caught(exhaustive_codes, 12, 6, 0) == (22, 36)
+    assert caught(exhaustive_codes, 30, 29, 1, cap=29) == (28, 29)
     assert caught(hull_census, 14, 7, cap=49) == (6, 7)
     assert caught(hull_census, 66, 1, cap=65) == (64, 65)
     assert caught(hull_census, 64, 1, cap=63) == (63, 64)  # 2^63 lanes
