@@ -130,15 +130,6 @@ class BitVector:
         return cls(len(s), bits_from01(s))
 
     @classmethod
-    def from_support(cls, n: int, support: Iterable[int]) -> "BitVector":
-        v = 0
-        for i in support:
-            if not 0 <= i < n:
-                raise DimensionError(f"support index {i} out of range")
-            v |= 1 << i
-        return cls(n, v)
-
-    @classmethod
     def zero(cls, n: int) -> "BitVector":
         return cls(n, 0)
 
@@ -196,15 +187,6 @@ class BitMatrix:
         if any(len(r) != n for r in rows):
             raise DimensionError("ragged rows")
         return cls(n, tuple(bits_from01(r) for r in rows))
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[BitVector]) -> "BitMatrix":
-        if not rows:
-            raise DimensionError("cannot infer width of an empty matrix")
-        n = rows[0].len
-        if any(r.len != n for r in rows):
-            raise DimensionError("ragged rows")
-        return cls(n, tuple(r.bits for r in rows))
 
     @property
     def nrows(self) -> int:

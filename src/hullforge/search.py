@@ -23,7 +23,8 @@ Equivalence search takes its column and column-pair profiles from the
 codeword chunks of code._codeword_chunks, one matrix product per weight
 instead of a loop over the codewords.  Exhaustive search reads the same
 kernel with a lane axis: each kept free block is one lane, and the
-message weight is added per Gray position.
+message weight is added per Gray position; the lanes are free blocks
+with sorted rows or, when k < n - k and the rows are many, sorted columns.
 """
 
 from __future__ import annotations
@@ -569,6 +570,18 @@ def _lane_dtype(bits: int) -> np.dtype:
     return np.min_scalar_type((1 << bits) - 1)
 
 
+def _transpose_lanes(vecs: list[np.ndarray], bits: int) -> list[np.ndarray]:
+    """Per lane, word p of the result holds bit p of each vecs[i] at bit i:
+    the rows of A from its columns, or its columns from its rows."""
+    dtype = _lane_dtype(max(len(vecs), bits))
+    out = [np.zeros(vecs[0].shape, dtype=dtype) for _ in range(bits)]
+    for i, v in enumerate(vecs):
+        wide = v.astype(dtype)
+        for p in range(bits):
+            out[p] |= (wide >> p & 1) << i
+    return out
+
+
 def _hull_dims(rows: list[np.ndarray], k: int, m: int) -> np.ndarray:
     """Hull dimension per lane via the smaller Gram product.
 
@@ -580,16 +593,7 @@ def _hull_dims(rows: list[np.ndarray], k: int, m: int) -> np.ndarray:
     if t == 0:
         return np.zeros(rows[0].shape if rows else (1,), dtype=np.uint8)
     lut = _sym_rank_lut(t)
-    if k <= m:
-        vecs = rows
-    else:
-        dtype = _lane_dtype(k)
-        lanes = rows[0].shape[0]
-        vecs = [np.zeros(lanes, dtype=dtype) for _ in range(m)]
-        for i in range(k):
-            wide = rows[i].astype(dtype)
-            for p in range(m):
-                vecs[p] |= ((wide >> np.uint8(p)) & 1) << np.uint8(i)
+    vecs = rows if k <= m else _transpose_lanes(rows, m)
     idx = np.zeros(vecs[0].shape, dtype=np.uint32)
     p = 0
     for i in range(t):
@@ -647,17 +651,10 @@ def _sorted_free_blocks(k: int, m: int) -> Iterator[list[np.ndarray]]:
     k - r rows, the heads, come from this generator.  A head ending in v
     is followed by the table's last above[v] tuples, those starting at v
     or higher.  A one-row table is range(2^m) itself and is never built.
+    Called as (m, k) it yields the sorted columns of A, k-bit keys.
     """
     size, limit = 1 << m, 1 << CHUNK_BITS
     dtype = _lane_dtype(m)
-    if m:
-        _lane_dtype(k)  # the hull kernel's transposed side packs k bits
-    lanes = comb(size + k - 1, k)
-    if lanes >> 63:
-        raise ResourceLimitError(
-            f"C(2^{m}+{k}-1, {k}) sorted free blocks overflow 64-bit lane indices",
-            limit=63, requested=lanes.bit_length(),
-        )
     r = k
     while r > 1 and comb(size + r - 1, r) > limit:
         r -= 1
@@ -689,8 +686,8 @@ def _sorted_free_blocks(k: int, m: int) -> Iterator[list[np.ndarray]]:
 
 
 def _orderings(rows: list[np.ndarray], k: int, m: int) -> np.ndarray:
-    """Distinct row orders of each sorted free block, k! / prod(mult_j!),
-    as exact integers: after row i it is the count for rows 0..i."""
+    """Distinct orders of each sorted lane of k m-bit words, k! / prod(mult_j!),
+    as exact integers: after word i it is the count for words 0..i."""
     # the products stay below 2^(k m) * k; past int64 use Python integers
     exact = np.int64 if k * m + k.bit_length() <= 63 else object
     weights = np.ones(rows[0].shape, dtype=exact)
@@ -702,6 +699,39 @@ def _orderings(rows: list[np.ndarray], k: int, m: int) -> np.ndarray:
     return weights
 
 
+def _by_columns(k: int, m: int) -> bool:
+    """Whether to enumerate the C(2^k + m - 1, m) sorted columns of A
+    instead of its C(2^m + k - 1, k) sorted rows, after the row side's
+    refusals: when k < m and the rows fill more than a sixteenth of a
+    chunk, above the measured break-even of 8,256 to 32,896 row lanes."""
+    _lane_dtype(m)
+    if m:
+        _lane_dtype(k)
+    lanes = comb((1 << m) + k - 1, k)
+    if lanes >> 63:
+        raise ResourceLimitError(
+            f"C(2^{m}+{k}-1, {k}) sorted free blocks overflow 64-bit lane indices",
+            limit=63, requested=lanes.bit_length(),
+        )
+    return k < m and lanes > 1 << CHUNK_BITS >> 4
+
+
+def _least_block(cols: list[np.ndarray], k: int, m: int) -> tuple[int, ...]:
+    """The least (a_0, ..., a_{k-1}) over the given column lanes, bit i of
+    a key being row i, and every order of their columns: the columns
+    sorted by key, row 0 most significant, the largest at bit 0, since
+    a_0 is compared first and its ones go lowest, then a_1's, and so on.
+    Each block is packed a_0 first into one k m-bit integer, which is
+    what the spread keys add up to."""
+    packed = np.uint64 if k * m <= 64 else object
+    codes = np.arange(1 << k)
+    spread = sum((codes >> i & 1).astype(packed) << (k - 1 - i) * m for i in range(k))
+    shifts = np.arange(m - 1, -1, -1).astype(packed)  # ascending keys, largest at bit 0
+    blocks = (np.sort(spread[np.stack(cols, axis=1)], axis=1) << shifts).sum(axis=1)
+    best = int(blocks.min())
+    return tuple(best >> (k - 1 - i) * m & ((1 << m) - 1) for i in range(k))
+
+
 def hull_census(n: int, k: int, cap: int | None = None) -> dict[int, int]:
     """Count systematic generators by hull dimension; sums to 2^{k(n-k)}.
 
@@ -709,14 +739,16 @@ def hull_census(n: int, k: int, cap: int | None = None) -> dict[int, int]:
     columns) keeps the code up to equivalence, so only blocks with sorted
     rows are enumerated, C(2^m + k - 1, k) of them for m = n - k.  Each
     counts for its number of distinct row orders, k! / prod(mult_j!),
-    where mult_j are the multiplicities of its equal rows.
-    """
+    mult_j the multiplicities of its equal rows; sorted columns, taken
+    when _by_columns, count for m! / prod(mult_j!) column orders each."""
     _check_exhaustive_cap(n, k, cap)
     m = n - k
+    by_columns = _by_columns(k, m)
     counts = [0] * (min(k, m) + 1)
-    for rows in _sorted_free_blocks(k, m):
+    for words in _sorted_free_blocks(m, k) if by_columns else _sorted_free_blocks(k, m):
+        rows = _transpose_lanes(words, k) if by_columns else words
         hs = _hull_dims(rows, k, m)
-        weights = _orderings(rows, k, m)
+        weights = _orderings(words, m, k) if by_columns else _orderings(words, k, m)
         for h in range(len(counts)):
             counts[h] += int(weights.sum(where=hs == h, initial=0))
     return {h: c for h, c in enumerate(counts) if c}
@@ -738,6 +770,10 @@ def exhaustive_codes(
     not 2^{k m}.  The sorted order is the lexicographically smallest of
     its row permutations, and lanes come in lexicographic order, so the
     first max-d lane is the witness the full enumeration would pick.
+    When _by_columns, the sorted columns are enumerated instead: the
+    max-d blocks are closed under row and column orders, and each row
+    order of a block has its own column lane, so the witness is the
+    least block (_least_block) over the column orders of the max-d lanes.
     The distances come from code._codeword_chunks over the kept lanes,
     so the 2^k messages per lane fall under the enumeration cap.
     """
@@ -753,18 +789,26 @@ def exhaustive_codes(
     if h > min(k, m):  # the hull is a subcode of both C and its dual
         return OptimalityClaim(n, k, h, 0, "nonexistence", None, "exhaustive")
 
+    by_columns = _by_columns(k, m)
     best_d = 0
     best_free = None
-    for rows in _sorted_free_blocks(k, m):
+    for words in _sorted_free_blocks(m, k) if by_columns else _sorted_free_blocks(k, m):
+        rows = _transpose_lanes(words, k) if by_columns else words
         keep = _hull_dims(rows, k, m) == h
         if not keep.any():
             continue
         rows = [r[keep] for r in rows]
-        # a later lane only wins with a strictly larger distance
         dists = _min_distances(rows)
         at = int(np.argmax(dists))
-        if dists[at] > best_d:
-            best_d, best_free = int(dists[at]), [int(r[at]) for r in rows]
+        top = int(dists[at])
+        if top < best_d:
+            continue
+        if by_columns:
+            free = _least_block([c[keep][dists == top] for c in words], k, m)
+        else:  # the first max-d row lane; a later one only wins with a larger d
+            free = tuple(int(r[at]) for r in rows)
+        if top > best_d or free < best_free:
+            best_d, best_free = top, free
 
     if best_free is None or (d_floor is not None and best_d < d_floor):
         # either no code has this hull dimension, or none reaches the floor

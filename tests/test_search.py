@@ -14,6 +14,7 @@ import itertools
 import random
 import time
 import unittest.mock
+from math import comb
 
 import numpy as np
 import pytest
@@ -478,6 +479,110 @@ def test_exhaustive_claim_bytes():
     assert len(claims) == 234
     digest = hashlib.sha256("\n".join(claims).encode()).hexdigest()
     assert digest == "6558f12c515e01df38d768afc9b8c27083f6ed706fb3f399d67ff6ab9a611cb2"
+
+
+def test_census_bytes():
+    # every in-cap shape up to n = 13, rows and columns sides alike
+    lines = []
+    for n in range(1, 14):
+        for k in range(1, n + 1):
+            if k * (n - k) <= 22:
+                counts = hull_census(n, k)
+                lines.append(f"{n} {k} " + " ".join(f"{h}:{counts[h]}" for h in sorted(counts)))
+    assert len(lines) == 67
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "ef16b4dac4c0b1eaa7c2ce20451e67e4ee4ade4a64edae39b9873ed674782526"
+
+
+# every k < m shape with k(n-k) <= 12; small chunks send it to the column side
+COLUMN_SHAPES = [(1, m) for m in range(2, 13)] + [(2, m) for m in range(3, 7)] + [(3, 4)]
+
+
+def _column_chunks(mp, chunk_bits):
+    """Patch both chunk sizes; the list returned fills with the lane
+    count of every column chunk the enumeration transposes into rows."""
+    mp.setattr(search, "CHUNK_BITS", chunk_bits)
+    mp.setattr(code_mod, "CHUNK_BITS", chunk_bits)
+    chunks = []
+    transpose = search._transpose_lanes
+
+    def spy(vecs, bits):
+        chunks.append(vecs[0].size)
+        return transpose(vecs, bits)
+
+    mp.setattr(search, "_transpose_lanes", spy)
+    return chunks
+
+
+def _check_column_chunks(chunks, k, m, chunk_bits):
+    assert max(chunks) <= 1 << chunk_bits
+    assert sum(chunks) == comb((1 << k) + m - 1, m)  # every sorted column multiset
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(COLUMN_SHAPES), st.integers(0, 4), st.data())
+def test_exhaustive_column_side_matches_oracle(shape, chunk_bits, data):
+    k, m = shape
+    h = data.draw(st.integers(0, min(k, m) + 1), label="h")
+    with pytest.MonkeyPatch.context() as mp:
+        chunks = _column_chunks(mp, chunk_bits)
+        assert search._by_columns(k, m)
+        claim = exhaustive_codes(k + m, k, h)
+    if h <= k:
+        _check_column_chunks(chunks, k, m, chunk_bits)
+    d, witness = _oracle_claim(k + m, k, h)
+    assert claim.d_best == d
+    if witness is None:
+        assert claim.status == "nonexistence" and claim.witness is None
+    else:
+        assert claim.status == "h_optimal"
+        assert claim.witness.to_strings() == witness
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(COLUMN_SHAPES), st.integers(0, 4))
+def test_census_column_side_matches_reference(shape, chunk_bits):
+    k, m = shape
+    assume(k * m <= 10)
+    with pytest.MonkeyPatch.context() as mp:
+        chunks = _column_chunks(mp, chunk_bits)
+        assert search._by_columns(k, m)
+        fast = hull_census(k + m, k)
+    _check_column_chunks(chunks, k, m, chunk_bits)
+    assert fast == _pure_census(k + m, k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([5, 33]),
+    st.lists(st.lists(st.integers(0, 3), min_size=4, max_size=4), min_size=1, max_size=4),
+    st.randoms(),
+)
+def test_least_block_of_two_rows(m, mults, rnd):
+    # k = 2: the least block puts the columns (1,1), then (1,0), then (0,1)
+    # lowest; m = 33 packs 66 bits, past uint64, into Python integers
+    lanes, want = [], []
+    for c in mults:
+        c[0] += m - sum(c)  # c[key] columns of each key, bit i of a key from row i
+        assume(c[0] >= 0)
+        keys = [key for key, count in enumerate(c) for _ in range(count)]
+        rnd.shuffle(keys)
+        lanes.append(keys)
+        both, top = c[3], c[3] + c[1]
+        want.append(((1 << top) - 1, (1 << both) - 1 | ((1 << c[2]) - 1) << top))
+    cols = [np.array(col, dtype=np.uint8) for col in zip(*lanes)]
+    assert search._least_block(cols, 2, m) == min(want)
+
+
+def test_exhaustive_13_2_1_is_fast():
+    exhaustive_codes(13, 2, 1)  # the rank table fills outside the timing
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        claim = exhaustive_codes(13, 2, 1)
+        best = min(best, time.perf_counter() - start)
+    assert best < 0.01  # 40-57 ms over the 2,098,176 row-sorted lanes
+    assert format_claim(claim) == "CLAIM 13 2 1 8 h_optimal exhaustive 1011111110000,0111110001111"
 
 
 def test_hull_kernel_keeps_bits_past_32():
