@@ -11,7 +11,8 @@ and by the derived vector y (y_i = x · r_i over the generator rows):
 Each construction prepends two coordinates and one generator row, and
 carries an explicit parity-check matrix for the child.  II and III are
 the same matrix shape; they are kept apart because they predict
-different hull dimensions, and the dispatcher enforces the split.
+different hull dimensions, and construct() checks the split, as it
+checks x·x, before _assemble writes the rows.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .errors import (
     ClaimViolationError,
     DimensionError,
     ResourceLimitError,
+    UsageError,
     WrongConstructionError,
     WrongParityError,
 )
@@ -98,12 +100,20 @@ class DistancePrediction(frozenset):
         return self
 
 
+def _check_kind(kind) -> ConstructionKind:
+    """kind itself if it is a ConstructionKind; strings are refused, not coerced."""
+    if not isinstance(kind, ConstructionKind):
+        raise UsageError(f"unknown construction kind {kind!r}; pass a ConstructionKind")
+    return kind
+
+
 def admissible_distances(d: int, w: int, kind: ConstructionKind) -> frozenset:
     """Candidate minimum distances of the lengthened code.
 
     d is the seed distance, w the coset weight of x.  The result holds
     one to three values; the child distance always lands in it.
     """
+    _check_kind(kind)
     if kind in (ConstructionKind.I, ConstructionKind.IV):
         # no-top child codewords weigh wt(m) + 2(x.m), so their minimum
         # sits at d, d+1 or d+2 depending on how x meets the light
@@ -172,15 +182,9 @@ class BuildResult:
         )
 
 
-def _require_parity(ext: ExtensionVector, want: int, kind: str) -> None:
-    if ext.self_product != want:
-        raise WrongParityError(
-            f"construction {kind} needs x·x = {want}, got {ext.self_product}"
-        )
-
-
 def predicted_hull(kind: ConstructionKind, ell: int) -> frozenset:
     """Child hull dimensions the construction admits for a seed with hull ell."""
+    _check_kind(kind)
     if kind is ConstructionKind.III:
         return frozenset({ell, ell + 1, ell + 2})
     return frozenset({ell if kind is ConstructionKind.IV else ell + 1})
@@ -225,52 +229,45 @@ def _assemble(seed: LinearCode, ext: ExtensionVector, kind: ConstructionKind) ->
     )
 
 
+def construct(c: LinearCode, x: BitVector, kind: ConstructionKind) -> BuildResult:
+    """Apply construction kind to (c, x) once x meets its precondition:
+    x·x = 1 for I and 0 for the others, y = 0 for II and y != 0 for III."""
+    _check_kind(kind)
+    ext = ExtensionVector.bind(c, x)
+    want = int(kind is ConstructionKind.I)
+    if ext.self_product != want:
+        raise WrongParityError(
+            f"construction {kind} needs x·x = {want}, got {ext.self_product}"
+        )
+    if kind is ConstructionKind.II and not ext.y.is_zero():
+        raise WrongConstructionError(
+            "x is not orthogonal to the code (y != 0); use construction III"
+        )
+    if kind is ConstructionKind.III and ext.y.is_zero():
+        raise WrongConstructionError(
+            "x is orthogonal to the code (y = 0); use construction II"
+        )
+    return _assemble(c, ext, kind)
+
+
 def construct_I(c: LinearCode, x: BitVector) -> BuildResult:
     """Odd x: child hull is exactly l+1."""
-    ext = ExtensionVector.bind(c, x)
-    _require_parity(ext, 1, "I")
-    return _assemble(c, ext, ConstructionKind.I)
+    return construct(c, x, ConstructionKind.I)
 
 
 def construct_II(c: LinearCode, x: BitVector) -> BuildResult:
     """Even x orthogonal to the whole code: child hull is exactly l+1."""
-    ext = ExtensionVector.bind(c, x)
-    _require_parity(ext, 0, "II")
-    if not ext.y.is_zero():
-        raise WrongConstructionError(
-            "x is not orthogonal to the code (y != 0); use construction III"
-        )
-    return _assemble(c, ext, ConstructionKind.II)
+    return construct(c, x, ConstructionKind.II)
 
 
 def construct_III(c: LinearCode, x: BitVector) -> BuildResult:
     """Even x not orthogonal to the code: hull moves within {l, l+1, l+2}."""
-    ext = ExtensionVector.bind(c, x)
-    _require_parity(ext, 0, "III")
-    if ext.y.is_zero():
-        raise WrongConstructionError(
-            "x is orthogonal to the code (y = 0); use construction II"
-        )
-    return _assemble(c, ext, ConstructionKind.III)
+    return construct(c, x, ConstructionKind.III)
 
 
 def construct_IV(c: LinearCode, x: BitVector) -> BuildResult:
     """Even x with the alternative head column: child hull stays at l."""
-    ext = ExtensionVector.bind(c, x)
-    _require_parity(ext, 0, "IV")
-    return _assemble(c, ext, ConstructionKind.IV)
-
-
-_BUILDERS = {
-    ConstructionKind.I: construct_I,
-    ConstructionKind.II: construct_II,
-    ConstructionKind.III: construct_III,
-    ConstructionKind.IV: construct_IV,
-}
-
-
-def construct(c: LinearCode, x: BitVector, kind: ConstructionKind) -> BuildResult:
-    return _BUILDERS[kind](c, x)
+    return construct(c, x, ConstructionKind.IV)
 
 
 def classify_extension(c: LinearCode, x: BitVector) -> ConstructionKind:

@@ -13,7 +13,9 @@ seed's weight classes; the with-top and coset weights are coset-leader
 weights of the codes D_y = {(y.u | uG)}, found for every y and x by
 min-plus passes over the 2^(n+1) cosets, the code._min_plus_pass that
 LinearCode.covering_radius runs over the syndromes.
-Both read hull dimensions from a Gram rank, k - rank(G G^T); the
+The kernel keeps one distance array per top row, which two kinds share,
+and one hull array, for III; I, II and IV take predicted_hull's value.
+Both paths read hull dimensions from a Gram rank, k - rank(G G^T); the
 Zassenhaus intersection that checks it runs only when LinearCode.hull()
 is called, as the test suite does.
 The fast path also renders the kept records' lines from the same arrays
@@ -37,7 +39,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .buildup import ConstructionKind, construct, predicted_hull
+from .buildup import ConstructionKind, _check_kind, construct, predicted_hull
 from .code import CHUNK_BITS, LinearCode, _codeword_chunks, _limbs, _min_plus_pass, _weights
 from .errors import ClaimViolationError, DimensionError, ResourceLimitError, UsageError
 from .gf2 import BitMatrix, BitVector, dot, gram, transpose
@@ -252,14 +254,6 @@ def _coset_scan(seed: LinearCode):
     return d2y[ypack], d1y[ypack], l1 + np.uint8(1), np.minimum(l0, l1), ypack, odd
 
 
-def _child_distance_arrays(seed: LinearCode):
-    """d of the child for every x, per construction family."""
-    d2, d1, dt, dc, ypack, odd = _coset_scan(seed)
-    d_I_IV = np.minimum(d2, 1 + dc)  # top rows (1 0 | x), body (y y | r)
-    d_II_III = np.minimum(d1, dt)  # top rows (1 1 | x), body (y 0 | r)
-    return d_I_IV, d_II_III, dc, ypack, odd
-
-
 @lru_cache(maxsize=64)
 def _rank3_table(gram_rows: tuple[int, ...]) -> np.ndarray:
     """rank(Gc + y y^T) for every y, for a fixed seed Gram matrix: one lane
@@ -270,38 +264,18 @@ def _rank3_table(gram_rows: tuple[int, ...]) -> np.ndarray:
     return np.count_nonzero(_lane_rref(rows, k), axis=1).astype(np.uint8)
 
 
-def _child_hull_arrays(seed: LinearCode, ypack):
-    """h of the child for every x, per construction kind."""
-    k = seed.k
-    ell = seed.hull_dim()
-    lanes = ypack.shape[0]
-    gram_rows = gram(seed.canonical_gen()).row_bits
-    rank3 = _rank3_table(gram_rows)
-    h = {}
-    h[ConstructionKind.I] = np.full(lanes, ell + 1, dtype=np.int16)
-    h[ConstructionKind.II] = np.full(lanes, ell + 1, dtype=np.int16)
-    h[ConstructionKind.III] = (k + 1) - rank3[ypack].astype(np.int16)
-    h[ConstructionKind.IV] = np.full(lanes, ell, dtype=np.int16)
-    return h
-
-
 def sweep_children(seed: LinearCode):
-    """Fast path: (h, d, coset weight, oddness) arrays for every x and kind.
+    """Fast path: flat arrays over all 2^n extension vectors x.
 
-    Keys of the h/d dicts are ConstructionKind; entries are valid only
-    where the kind applies (odd x for I; even for II/III/IV, split by
-    whether x is orthogonal to the seed).
+    (d10, d11, dc, h3, ypack, odd): child d under top row (1 0 | x), for
+    I and IV, and under (1 1 | x), for II and III; the coset weight of x;
+    the III child's hull k + 1 - rank(Gc + y y^T); y = x G^T; and x.x.
     """
     _check_sweep_cap(seed)
-    d_I_IV, d_II_III, dc, ypack, odd = _child_distance_arrays(seed)
-    h = _child_hull_arrays(seed, ypack)
-    d = {
-        ConstructionKind.I: d_I_IV,
-        ConstructionKind.II: d_II_III,
-        ConstructionKind.III: d_II_III,
-        ConstructionKind.IV: d_I_IV,
-    }
-    return h, d, dc, ypack, odd
+    d2, d1, dt, dc, ypack, odd = _coset_scan(seed)
+    rank3 = _rank3_table(gram(seed.canonical_gen()).row_bits)
+    h3 = (seed.k + 1) - rank3[ypack].astype(np.int16)
+    return np.minimum(d2, 1 + dc), np.minimum(d1, dt), dc, h3, ypack, odd
 
 
 def _lane_rref(rows: list[np.ndarray], ncols: int) -> np.ndarray:
@@ -320,17 +294,21 @@ def _lane_rref(rows: list[np.ndarray], ncols: int) -> np.ndarray:
 
 
 def _kept_children(seed: LinearCode, target_h: int, min_d: int, kinds):
-    """Fast path: x by masks, child rows in closed form over the seed's
+    """Fast path: x by masks over sweep_children's arrays (III by its h3,
+    I/II/IV by predicted_hull), child rows in closed form over the seed's
     canonical rows r_i (y_i = x . r_i is bit i of ypack), one RREF each.
     Child rank and Gram hull are checked against the kernel and the claim.
     Returns x, kind index, d and the (records, k+1) echelon rows per record."""
     n, k = seed.n, seed.k
-    h_arr, d_arr, _dc, ypack, odd = sweep_children(seed)
-    applicable = (odd, ~odd & (ypack == 0), ~odd & (ypack != 0), ~odd)
+    ell = seed.hull_dim()
+    d10, d11, _dc, h3, ypack, odd = sweep_children(seed)
+    even = ~odd
+    applicable = (odd, even & (ypack == 0), even & (ypack != 0) & (h3 == target_h), even)
     keep = np.zeros((1 << n, len(_KINDS)), dtype=bool)
     for kind in kinds:
         i = _KIND_ORDER[kind]
-        keep[:, i] = applicable[i] & (h_arr[kind] == target_h) & (d_arr[kind] >= min_d)
+        if kind is ConstructionKind.III or target_h in predicted_hull(kind, ell):
+            keep[:, i] = applicable[i] & ((d10, d11, d11, d10)[i] >= min_d)
     xs, ks = np.nonzero(keep)  # x ascending, then kind
     # (1 0 | x) over (y_i y_i | r_i) for I/IV, (1 1 | x) over (y_i 0 | r_i) for II/III
     split = ((ks == 1) | (ks == 2)).astype(np.uint32)
@@ -347,15 +325,14 @@ def _kept_children(seed: LinearCode, target_h: int, min_d: int, kinds):
     hull = k + 1 - np.count_nonzero(_lane_rref(gram_rows, k + 1), axis=1)
     ok = (np.count_nonzero(echelon, axis=1) == k + 1) & (hull == target_h)
     for kind in kinds:
-        allowed = list(predicted_hull(kind, seed.hull_dim()))
-        ok &= (ks != _KIND_ORDER[kind]) | np.isin(hull, allowed)
+        ok &= (ks != _KIND_ORDER[kind]) | np.isin(hull, list(predicted_hull(kind, ell)))
     if not ok.all():
         at = int(np.argmin(ok))
         kind = _KINDS[ks[at]]
         msg = f"rank {np.count_nonzero(echelon[at])} (want {k + 1}), hull {hull[at]} (kernel"
-        msg += f" {target_h}, predicted {sorted(predicted_hull(kind, seed.hull_dim()))})"
+        msg += f" {target_h}, predicted {sorted(predicted_hull(kind, ell))})"
         raise ClaimViolationError(f"sweep child {kind} at x={xs[at]}: {msg}")
-    ds = np.stack([d_arr[kind] for kind in _KINDS])[ks, xs]
+    ds = np.where(split, d11[xs], d10[xs])
     return xs, ks, ds, echelon[echelon != 0].reshape(-1, k + 1)
 
 
@@ -425,7 +402,7 @@ def sweep_extensions(
     _check_sweep_cap(seed)
     if engine not in ("auto", "reference"):
         raise UsageError(f"unknown engine {engine!r}")
-    kinds = tuple(ConstructionKind) if kinds is None else tuple(kinds)
+    kinds = tuple(ConstructionKind) if kinds is None else tuple(map(_check_kind, kinds))
     kinds = tuple(sorted(set(kinds), key=_KIND_ORDER.get))
     sid = seed_id if seed_id is not None else _seed_id(seed)
     n, k = seed.n, seed.k
@@ -477,6 +454,7 @@ def best_by_sweep(
     if len(dims) != 1:
         raise UsageError(f"seeds must share (n, k); got {sorted(dims)}")
     n, k = dims.pop()
+    kinds = None if kinds is None else tuple(map(_check_kind, kinds))
 
     best_d = 0
     best_gen: BitMatrix | None = None

@@ -24,9 +24,9 @@ from hullforge.eaqecc import derive, quantum_table_from_cells, singleton_gap
 from hullforge.errors import InvalidCodeError
 from hullforge.gf2 import BitMatrix, BitVector
 from hullforge.search import (
-    _child_distance_arrays,
     are_equivalent,
     exhaustive_codes,
+    sweep_children,
 )
 
 ENTRIES = corpus.load_corpus(validate=False)
@@ -135,7 +135,7 @@ def test_criterion_4_distance_predictions():
     for e in ENTRIES:
         c = e.code()
         n, d = c.n, c.min_distance()
-        d_I_IV, d_II_III, dc, ypack, odd = _child_distance_arrays(c)
+        d_I_IV, d_II_III, dc, _h3, ypack, odd = sweep_children(c)
         w = dc.astype(np.int64)
         rho = int(dc.max())  # x spans every coset, so the max is rho
         if n - c.k <= 24:

@@ -24,10 +24,17 @@ from hullforge.buildup import (
     construct_III,
     construct_IV,
     predict_distance,
+    predicted_hull,
 )
 from hullforge.code import LinearCode, from_generator
-from hullforge.errors import ClaimViolationError, WrongConstructionError, WrongParityError
+from hullforge.errors import (
+    ClaimViolationError,
+    UsageError,
+    WrongConstructionError,
+    WrongParityError,
+)
 from hullforge.gf2 import BitMatrix, BitVector
+from hullforge.search import best_by_sweep, sweep_extensions
 
 SEED_10_6_3 = [
     "1000000101",
@@ -190,6 +197,50 @@ def test_construct_II_dispatch_errors(seed):
         construct_III(seed, BitVector.from01("1000000000"))
     with pytest.raises(WrongParityError):
         construct_IV(seed, BitVector.from01("1000000000"))
+
+
+def test_precondition_messages(seed):
+    odd, dual_word = BitVector.from01("1000000000"), BitVector.zero(10)
+    cases = [
+        (construct_I, dual_word, "construction I needs x·x = 1, got 0"),
+        (construct_IV, odd, "construction IV needs x·x = 0, got 1"),
+        (construct_II, BitVector.from01("0000011000"),
+         "x is not orthogonal to the code (y != 0); use construction III"),
+        (construct_III, dual_word, "x is orthogonal to the code (y = 0); use construction II"),
+    ]
+    for build, x, text in cases:
+        with pytest.raises((WrongParityError, WrongConstructionError)) as err:
+            build(seed, x)
+        assert str(err.value) == text
+
+
+_ODD = BitVector.from01("1000000000")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda c: predicted_hull("IV", 1), id="predicted_hull"),
+        pytest.param(lambda c: admissible_distances(3, 2, "I"), id="admissible_distances"),
+        pytest.param(lambda c: predict_distance(c, _ODD, "I"), id="predict_distance"),
+        pytest.param(lambda c: construct(c, _ODD, "I"), id="construct"),
+        pytest.param(lambda c: sweep_extensions(c, 2, kinds=["I", "II"]), id="sweep-two"),
+        pytest.param(lambda c: sweep_extensions(c, 2, kinds=["I"]), id="sweep-one"),
+        pytest.param(
+            lambda c: sweep_extensions(c, 2, kinds=["I", "II"], engine="reference"),
+            id="sweep-reference-two",
+        ),
+        pytest.param(
+            lambda c: sweep_extensions(c, 2, kinds=["I"], engine="reference"),
+            id="sweep-reference-one",
+        ),
+        pytest.param(lambda c: best_by_sweep([c], 2, kinds=["I"]), id="best_by_sweep"),
+    ],
+)
+def test_kind_given_as_a_string_is_refused(seed, call):
+    # a string is not coerced: "IV" once read as I/II in predicted_hull
+    with pytest.raises(UsageError, match="unknown construction kind"):
+        call(seed)
 
 
 def test_construct_III_sweep_hull_set(seed):

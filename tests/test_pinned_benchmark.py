@@ -12,6 +12,8 @@ from pathlib import Path
 
 import pytest
 
+from hullforge import search
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -31,3 +33,14 @@ def test_seed_zero_round_matches_pinned_digests(workload):
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["correct"] is True
     assert result["failed"] == 0
+
+
+def test_benchmark_hooks_exist():
+    # perfbench/run.py reads these by name and falls back to nothing when
+    # one is missing, so a rename would zero or drop its per-layer metrics
+    run_py = (ROOT / "perfbench" / "run.py").read_text()
+    assert '"search.sweep_children"' in run_py
+    assert callable(search.sweep_children)
+    for name in ("_rank3_table", "_sym_rank_lut"):
+        assert f'"{name}"' in run_py, name
+        assert callable(getattr(search, name).cache_info), name

@@ -257,6 +257,12 @@ def test_sweep_checks_each_child_against_the_claim(seed_10_6_3, monkeypatch):
     monkeypatch.setattr(search, "predicted_hull", lambda kind, ell: frozenset({ell + 5}))
     with pytest.raises(ClaimViolationError, match="predicted"):
         sweep_extensions(seed_10_6_3, 2, min_d=3, kinds=[ConstructionKind.III])
+    # I, II and IV are kept when the target is in predicted_hull, so at the
+    # patched target l + 5 their children reach the Gram check and must stop there
+    ell = seed_10_6_3.hull_dim()
+    for kind in (ConstructionKind.I, ConstructionKind.II, ConstructionKind.IV):
+        with pytest.raises(ClaimViolationError, match=f"sweep child {kind} .*predicted"):
+            sweep_extensions(seed_10_6_3, ell + 5, kinds=[kind])
 
 
 def test_best_by_sweep_from_bundled_seed(entries):
