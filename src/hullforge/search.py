@@ -20,7 +20,8 @@ Zassenhaus intersection that checks it runs only when LinearCode.hull()
 is called, as the test suite does.
 The fast path also renders the kept records' lines from the same arrays
 in one NumPy pass into SweepRecord.line, which format_sweep_record
-returns; reference and hand-built records go through its f-string.
+returns, and keeps x and the child rows as ints until a caller reads
+them; reference and hand-built records go through the f-string.
 Equivalence search takes its column and column-pair profiles from the
 codeword chunks of code._codeword_chunks, one matrix product per weight
 instead of a loop over the codewords.  Exhaustive search reads the same
@@ -78,7 +79,9 @@ _CLAIM_METHODS = ("sweep", "exhaustive", "corpus")
 class SweepRecord:
     """One kept child of an extension sweep.  line is its SWEEP line when
     the fast path rendered it, else None; it adds nothing to the other
-    fields, so equality, hashing and repr leave it out."""
+    fields, so equality, hashing and repr leave it out, and a line that is
+    not the fields' rendering (as after replace()) is dropped.  Fast-path
+    records build x and canonical_gen from packed ints on first access."""
 
     seed_id: str
     x: BitVector
@@ -86,6 +89,29 @@ class SweepRecord:
     child_params: tuple[int, int, int, int]
     canonical_gen: BitMatrix
     line: str | None = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.line is not None and self.line != self._field_line():
+            object.__setattr__(self, "line", None)
+
+    @classmethod
+    def _lazy(cls, sid, kind, params, line, ints):
+        rec = object.__new__(cls)  # no __init__; ints = (n, x, rows) stand in for x and G
+        vars(rec).update(seed_id=sid, kind=kind, child_params=params, line=line, _packed=ints)
+        return rec
+
+    def __getattr__(self, name):  # only for names missing from the instance
+        if name not in ("x", "canonical_gen") or "_packed" not in vars(self):
+            raise AttributeError(f"'SweepRecord' object has no attribute {name!r}")
+        n, x, rows = self._packed
+        value = BitVector(n, x) if name == "x" else BitMatrix(n + 2, rows)
+        object.__setattr__(self, name, value)
+        return value
+
+    def _field_line(self) -> str:
+        n, k, d, h = self.child_params
+        gen = ",".join(self.canonical_gen.to_strings())
+        return f"SWEEP {self.seed_id} {self.x.to01()} {self.kind.value} {n} {k} {d} {h} {gen}"
 
 
 @dataclass(frozen=True)
@@ -346,12 +372,10 @@ def _sweep_records(seed: LinearCode, sid: str, target_h: int, min_d: int, kinds)
         part = slice(s, s + RENDER_CHUNK)
         keys = list(zip(ks[part].tolist(), ds[part].tolist()))
         lines = _render_lines(sid, n, target_h, xs[part], keys, canon[part])
+        rows = map(tuple, canon[part].tolist())
         records += [
-            SweepRecord(
-                sid, BitVector(n, x), _KINDS[i], (n + 2, k + 1, d, target_h),
-                BitMatrix(n + 2, tuple(r)), line,
-            )
-            for x, (i, d), r, line in zip(xs[part].tolist(), keys, canon[part].tolist(), lines)
+            SweepRecord._lazy(sid, _KINDS[i], (n + 2, k + 1, d, target_h), line, (n, x, r))
+            for x, (i, d), r, line in zip(xs[part].tolist(), keys, rows, lines)
         ]
     return records
 
@@ -456,25 +480,19 @@ def best_by_sweep(
     n, k = dims.pop()
     kinds = None if kinds is None else tuple(map(_check_kind, kinds))
 
-    best_d = 0
-    best_gen: BitMatrix | None = None
+    best_d, best = 0, None
     for seed in seeds:
         for rec in sweep_extensions(seed, target_h, min_d=max(best_d, 1), kinds=kinds):
-            d = rec.child_params[2]
-            if d > best_d or (
-                d == best_d
-                and best_gen is not None
-                and rec.canonical_gen.row_bits < best_gen.row_bits
-            ):
-                best_d = d
-                best_gen = rec.canonical_gen
+            d, rows = rec.child_params[2], rec._packed[2]  # fast-path rows, still ints
+            if d > best_d or (d == best_d and best is not None and rows < best._packed[2]):
+                best_d, best = d, rec
     return OptimalityClaim(
         n=n + 2,
         k=k + 1,
         h=target_h,
         d_best=best_d,
         status="lower_bound",
-        witness=best_gen,
+        witness=None if best is None else best.canonical_gen,
         method="sweep",
     )
 
@@ -914,11 +932,7 @@ def are_equivalent(
 
 def format_sweep_record(rec: SweepRecord) -> str:
     """The record's SWEEP line: rec.line if set, else from the fields."""
-    if rec.line is not None:
-        return rec.line
-    n, k, d, h = rec.child_params
-    gen = ",".join(rec.canonical_gen.to_strings())
-    return f"SWEEP {rec.seed_id} {rec.x.to01()} {rec.kind.value} {n} {k} {d} {h} {gen}"
+    return rec._field_line() if rec.line is None else rec.line
 
 
 def format_claim(claim: OptimalityClaim) -> str:

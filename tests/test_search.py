@@ -8,9 +8,11 @@ the named oracle values are checked.
 from __future__ import annotations
 
 import collections
+import copy
 import dataclasses
 import hashlib
 import itertools
+import pickle
 import random
 import time
 import unittest.mock
@@ -283,6 +285,33 @@ def test_best_by_sweep_empty():
     assert claim.d_best == 0
     assert claim.witness is None
     assert claim.status == "lower_bound"
+
+
+@st.composite
+def same_shape_seeds(draw):
+    """One to three seeds of one [n, k] shape, n <= 6."""
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(1, n))
+    rows = st.lists(st.integers(1, (1 << n) - 1), min_size=k, max_size=k)
+    gens = draw(st.lists(rows, min_size=1, max_size=3))
+    seeds = [LinearCode(BitMatrix(n, tuple(r))) for r in gens]
+    assume(len({s.k for s in seeds}) == 1)
+    return seeds
+
+
+@settings(max_examples=40, deadline=None)
+@given(same_shape_seeds(), st.integers(0, 2))
+def test_best_by_sweep_keeps_the_least_tied_generator(seeds, lift):
+    h = seeds[0].hull_dim() + lift
+    recs = [r for s in seeds for r in sweep_extensions(s, h, engine="reference")]
+    claim = best_by_sweep(seeds, h)
+    best = max((r.child_params[2] for r in recs), default=0)
+    assert claim.d_best == best
+    if recs:
+        tied = [r.canonical_gen.row_bits for r in recs if r.child_params[2] == best]
+        assert claim.witness.row_bits == min(tied)
+    else:
+        assert claim.witness is None
 
 
 def test_best_by_sweep_rejects_mixed_seeds(entries):
@@ -987,6 +1016,84 @@ def test_batch_lines_match_the_fstring(seed, kinds, lift, min_d, seed_id, chunk)
         assert bare == rec and hash(bare) == hash(rec)
         assert dataclasses.replace(rec, line="other") == rec
     assert "line" not in repr(recs[:1])
+
+
+def test_replace_drops_a_stale_line(seed_10_6_3):
+    rec = sweep_extensions(seed_10_6_3, 2, 3, kinds=[ConstructionKind.III], seed_id="A")[0]
+    moved = dataclasses.replace(rec, seed_id="B")
+    assert moved.line is None
+    assert format_sweep_record(moved) == _fstring_line(moved)
+    assert format_sweep_record(moved).startswith("SWEEP B ")
+    assert dataclasses.replace(rec).line == rec.line  # an unchanged copy keeps its line
+    fields = (rec.seed_id, rec.x, rec.kind, rec.child_params, rec.canonical_gen)
+    assert SweepRecord(*fields, rec.line).line == rec.line
+    assert SweepRecord(*fields, "SWEEP A junk").line is None
+
+
+@settings(max_examples=50, deadline=None)
+@given(sweep_seeds(), st.sets(st.sampled_from(list(ConstructionKind)), min_size=1))
+def test_fast_records_match_reference_records(seed, kinds):
+    for target_h in range(seed.k + 2):
+        fast = sweep_extensions(seed, target_h, kinds=kinds, seed_id="s")
+        ref = sweep_extensions(seed, target_h, kinds=kinds, seed_id="s", engine="reference")
+        assert len(fast) == len(ref)
+        for a, r in zip(fast, ref):
+            # copies first, while a's x and canonical_gen are still packed ints
+            for b in (copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+                assert not hasattr(b, "nope")
+                assert b == r and hash(b) == hash(r) and b.line == a.line
+            assert not hasattr(a, "nope")
+            assert a == r and hash(a) == hash(r) and repr(a) == repr(r)
+            assert type(a.x) is BitVector and a.x == r.x
+            assert type(a.canonical_gen) is BitMatrix and a.canonical_gen == r.canonical_gen
+            got, want = dataclasses.asdict(a), dataclasses.asdict(r)
+            assert got.pop("line") == format_sweep_record(r) and want.pop("line") is None
+            assert got == want
+            for change in ({}, {"seed_id": "t"}, {"line": "other"}, {"child_params": (1,) * 4}):
+                a2, r2 = dataclasses.replace(a, **change), dataclasses.replace(r, **change)
+                assert a2 == r2 and format_sweep_record(a2) == format_sweep_record(r2)
+
+
+def test_packed_fields_are_validated_when_built():
+    kind = ConstructionKind.I
+    rec = SweepRecord._lazy("s", kind, (4, 2, 2, 2), None, (2, 0b100, (0b0101, 0b1010)))
+    with pytest.raises(DimensionError):
+        rec.x
+    assert rec.canonical_gen == BitMatrix(4, (0b0101, 0b1010))
+    rec = SweepRecord._lazy("s", kind, (4, 2, 2, 2), None, (2, 0b10, (0b10000,)))
+    with pytest.raises(DimensionError):
+        rec.canonical_gen
+    assert rec.x == BitVector(2, 0b10)
+
+
+def test_sweep_builds_record_fields_lazily(entries, monkeypatch):
+    seed = entries["G1_13_11_2"].code()
+    built = collections.Counter()
+    for cls in (BitVector, BitMatrix):
+        def counted(self, check=cls.__post_init__, name=cls.__name__):
+            built[name] += 1
+            check(self)
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    recs = sweep_extensions(seed, 2, 1, seed_id="G1_13_11_2")
+    lines = [format_sweep_record(r) for r in recs]
+    assert len(lines) == 6144 and sum(built.values()) < 100
+    built.clear()
+    claim = best_by_sweep([seed], 2)
+    assert claim.witness is not None and sum(built.values()) < 100
+
+
+def test_sweep_bytes():
+    # every bundled seed at every h, the library's lines with min_d = 1;
+    # the digest was taken before fast-path records held packed ints
+    digest, count = hashlib.sha256(), 0
+    for entry in load_corpus():
+        seed = entry.code()
+        for h in range(seed.k + 2):
+            for rec in sweep_extensions(seed, h, 1, seed_id=entry.label):
+                digest.update((format_sweep_record(rec) + "\n").encode())
+                count += 1
+    assert count == 631_536
+    assert digest.hexdigest() == "0a9e81ce9f4fae48c7b2fb5d6c659a8e4345ac71938cdd3c2569b02ac763b48d"
 
 
 def test_sweep_keeping_no_records_renders_nothing():
