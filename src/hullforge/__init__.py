@@ -1,6 +1,8 @@
 """Binary linear codes with hull control: lengthening constructions,
 desk-scale searches, and entanglement-assisted quantum code parameters."""
 
+from types import ModuleType as _ModuleType
+
 from .buildup import (
     BuildResult,
     ConstructionKind,
@@ -73,63 +75,8 @@ from .search import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BitMatrix",
-    "BitVector",
-    "BuildResult",
-    "ClaimViolationError",
-    "ComparisonRow",
-    "ConstructionKind",
-    "CorpusEntry",
-    "CorpusFormatError",
-    "CorpusValidationError",
-    "CosetWeightProfile",
-    "DerivationPair",
-    "DimensionError",
-    "EaqeccParams",
-    "EquivalenceVerdict",
-    "ExtensionVector",
-    "HullReport",
-    "HullforgeError",
-    "InvalidCodeError",
-    "LinearCode",
-    "MatrixFile",
-    "NoRankGainError",
-    "OptimalityClaim",
-    "QuantumCell",
-    "QuantumTable",
-    "QuarantinedEntry",
-    "ResourceLimitError",
-    "SweepRecord",
-    "TableCell",
-    "UsageError",
-    "WeightDistribution",
-    "WrongConstructionError",
-    "WrongParityError",
-    "admissible_distances",
-    "are_equivalent",
-    "best_by_sweep",
-    "classify_extension",
-    "construct",
-    "construct_I",
-    "construct_II",
-    "construct_III",
-    "construct_IV",
-    "derive",
-    "enumeration_cap",
-    "exhaustive_codes",
-    "format_quantum_table",
-    "from_generator",
-    "hull_census",
-    "iter_exhaustive",
-    "load_comparison",
-    "load_corpus",
-    "load_quarantine",
-    "load_tables",
-    "parse_matrix_file",
-    "predict_distance",
-    "quantum_table_from_cells",
-    "singleton_gap",
-    "sweep_extensions",
-    "tabulate",
-]
+# every name imported above, less the submodules the imports bind
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from . import corpus
 from .buildup import ConstructionKind, classify_extension, construct
@@ -49,7 +48,7 @@ ALL_TABLES = tuple(f"T{i}" for i in range(1, 12))
 
 
 def _load_code(path: str) -> tuple[LinearCode, corpus.MatrixFile]:
-    mf = corpus.parse_matrix_file(Path(path).read_text(), where=path)
+    mf = corpus.parse_matrix_file(corpus.read_text(path), where=path)
     return LinearCode(mf.matrix), mf
 
 

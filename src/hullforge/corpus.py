@@ -46,6 +46,7 @@ __all__ = [
     "parse_entry",
     "serialize_entry",
     "parse_matrix_file",
+    "read_text",
     "load_corpus",
     "load_quarantine",
     "load_tables",
@@ -169,6 +170,19 @@ class ComparisonRow:
     ours: tuple[int, int, int, int]
     bold: bool
     source_table: str
+
+
+def read_text(path: Path | str) -> str:
+    """A data or matrix file's text, decoded as UTF-8 (every bundled file is
+    ASCII).  Bytes that do not decode raise CorpusFormatError with the line
+    they sit on, instead of the locale's UnicodeDecodeError."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        lineno = data.count(b"\n", 0, e.start) + 1
+        msg = f"{path}: byte 0x{data[e.start]:02x} is not UTF-8"
+        raise CorpusFormatError(msg, line=lineno) from None
 
 
 def _split_lines(text: str) -> list[tuple[int, str]]:
@@ -355,7 +369,7 @@ def load_corpus(root: Path | None = None, validate: bool = True) -> list[CorpusE
     root = root if root is not None else data_root()
     entries = []
     for path in _iter_entry_files(root):
-        entry = parse_entry(path.read_text(), where=str(path))
+        entry = parse_entry(read_text(path), where=str(path))
         if validate:
             entry.check()
         entries.append(entry)
@@ -369,7 +383,7 @@ def load_quarantine(root: Path | None = None) -> list[QuarantinedEntry]:
     out = []
     if qdir.is_dir():
         for path in sorted(qdir.glob("*.txt")):
-            out.append(parse_quarantined(path.read_text(), where=str(path)))
+            out.append(parse_quarantined(read_text(path), where=str(path)))
     return out
 
 
@@ -397,7 +411,7 @@ def load_tables(root: Path | None = None) -> list[TableCell]:
     cells = []
     for table_id in TABLE_IDS:
         path = root / "tables" / f"{table_id.lower()}.txt"
-        for lineno, line in _split_lines(path.read_text()):
+        for lineno, line in _split_lines(read_text(path)):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue
@@ -438,7 +452,7 @@ def load_comparison(root: Path | None = None) -> list[ComparisonRow]:
     root = root if root is not None else data_root()
     path = root / "tables" / "t11.txt"
     rows = []
-    for lineno, line in _split_lines(path.read_text()):
+    for lineno, line in _split_lines(read_text(path)):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

@@ -1,38 +1,22 @@
 """Desk-scale searches: extension sweeps, exhaustive enumeration, equivalence.
 
-Two execution paths coexist on purpose.  The reference path builds real
-child codes with construct() and asks them for their own parameters; the
-fast path computes the same numbers with vectorized bit tricks and writes
-each kept child's rows in closed form, never calling construct().  The
-fast path is validated against the reference path in the test suite and
-the two are never merged, so a bug in one cannot hide in the other.
-The fast path's distance kernel pays per class, not per message: the
-no-top child distances depend on x only through y = x G^T and come, for
-all 2^k values of y at once, from one Walsh-Hadamard transform of the
-seed's weight classes; the with-top and coset weights are coset-leader
-weights of the codes D_y = {(y.u | uG)}, found for every y and x by
-min-plus passes over the 2^(n+1) cosets, the code._min_plus_pass that
-LinearCode.covering_radius runs over the syndromes.
-The kernel keeps one distance array per top row, which two kinds share,
-and one hull array, for III; I, II and IV take predicted_hull's value.
-Both paths read hull dimensions from a Gram rank, k - rank(G G^T); the
-Zassenhaus intersection that checks it runs only when LinearCode.hull()
-is called, as the test suite does.
-The fast path also renders the kept records' lines from the same arrays
-in one NumPy pass into SweepRecord.line, which format_sweep_record
-returns, and keeps x and the child rows as ints until a caller reads
-them; reference and hand-built records go through the f-string.
-Equivalence search takes its column and column-pair profiles from the
-codeword chunks of code._codeword_chunks, one matrix product per weight
-instead of a loop over the codewords.  Exhaustive search reads the same
-kernel with a lane axis: each kept free block is one lane, and the
-message weight is added per Gray position; the lanes are free blocks
-with sorted rows or, when k < n - k and the rows are many, sorted columns.
+A sweep has two paths, compared in the tests and never merged.  The
+reference path builds each child with construct() and asks it for its
+parameters.  The fast path reads every child's distance and hull from
+tables of the seed (_coset_scan: Walsh-Hadamard weight classes and
+min-plus coset leaders; _rank3_table), writes each kept child's RREF in
+closed form from the seed's RREF (_child_echelon), checks its shape and
+Gram-rank hull, and renders the records' lines in one NumPy pass, the
+records holding x and the rows packed until read.  Exhaustive search
+and census run the codeword kernel of code._codeword_chunks over lanes
+of sorted free blocks; equivalence search backtracks over column
+profiles taken from the same chunks.
 """
 
 from __future__ import annotations
 
 import hashlib
+import struct
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
@@ -95,15 +79,21 @@ class SweepRecord:
             object.__setattr__(self, "line", None)
 
     @classmethod
-    def _lazy(cls, sid, kind, params, line, ints):
-        rec = object.__new__(cls)  # no __init__; ints = (n, x, rows) stand in for x and G
-        vars(rec).update(seed_id=sid, kind=kind, child_params=params, line=line, _packed=ints)
+    def _lazy(cls, sid, kind, params, line, packed):
+        """A record without __init__: packed = (n, x, rows), x an int and
+        rows the child's rows as big-endian uint32 bytes, stands in for x
+        and canonical_gen (bytes compare as the row tuples do)."""
+        rec = object.__new__(cls)
+        object.__setattr__(rec, "__dict__", {
+            "seed_id": sid, "kind": kind, "child_params": params, "line": line, "_packed": packed,
+        })
         return rec
 
     def __getattr__(self, name):  # only for names missing from the instance
         if name not in ("x", "canonical_gen") or "_packed" not in vars(self):
             raise AttributeError(f"'SweepRecord' object has no attribute {name!r}")
         n, x, rows = self._packed
+        rows = struct.unpack(f">{len(rows) // 4}I", rows)
         value = BitVector(n, x) if name == "x" else BitMatrix(n + 2, rows)
         object.__setattr__(self, name, value)
         return value
@@ -282,12 +272,10 @@ def _coset_scan(seed: LinearCode):
 
 @lru_cache(maxsize=64)
 def _rank3_table(gram_rows: tuple[int, ...]) -> np.ndarray:
-    """rank(Gc + y y^T) for every y, for a fixed seed Gram matrix: one lane
-    per y, the rank being the number of nonzero RREF slots."""
+    """rank(Gc + y y^T) for every y, for a fixed seed Gram matrix, one lane per y."""
     k = len(gram_rows)
     ys = np.arange(1 << k, dtype=_lane_dtype(k))
-    rows = [g ^ (ys >> i & 1) * ys for i, g in enumerate(gram_rows)]
-    return np.count_nonzero(_lane_rref(rows, k), axis=1).astype(np.uint8)
+    return _lane_rank([g ^ (ys >> i & 1) * ys for i, g in enumerate(gram_rows)], k)
 
 
 def sweep_children(seed: LinearCode):
@@ -304,29 +292,62 @@ def sweep_children(seed: LinearCode):
     return np.minimum(d2, 1 + dc), np.minimum(d1, dt), dc, h3, ypack, odd
 
 
-def _lane_rref(rows: list[np.ndarray], ncols: int) -> np.ndarray:
-    """RREF of one matrix per lane, rows[i][lane] being its row i: slot c
-    of the (lanes, ncols) result holds the reduced row with pivot c, or 0."""
-    basis = [np.zeros_like(rows[0]) for _ in range(ncols)]
-    for v in rows:
-        for c in range(ncols):
+def _lane_rank(rows: list[np.ndarray], ncols: int) -> np.ndarray:
+    """Rank of one matrix per lane, rows[i][lane] being its row i, by forward
+    elimination: per column, each lane's first row holding the bit is its
+    pivot and clears the bit from every row holding it, itself included.
+    Columns no lane has a bit in are skipped."""
+    rows = np.stack(rows)  # a copy, eliminated in place
+    present = int(np.bitwise_or.reduce(rows, axis=None))
+    rank = np.zeros(rows.shape[1:], dtype=np.uint8)
+    for c in range(ncols):
+        if not present >> c & 1:
+            continue
+        pivot = np.zeros_like(rows[0])
+        for v in rows:
             hit = v >> c & 1
-            basis[c] = np.where((hit == 1) & (basis[c] == 0), v, basis[c])
-            v = v ^ hit * basis[c]  # a row just stored clears itself
-    for c in range(ncols - 2, -1, -1):
-        for c2 in range(c + 1, ncols):
-            basis[c] ^= (basis[c] >> c2 & 1) * basis[c2]
-    return np.stack(basis, axis=1)
+            pivot |= (pivot == 0) * hit * v
+            v ^= hit * pivot
+        rank += pivot != 0
+    return rank
+
+
+def _child_echelon(seed_rows: tuple[int, ...], xs, ys, top, body) -> np.ndarray:
+    """The RREF of each kept child, (lanes, k+1), from its assembled rows:
+    t = top over c_i = y_i body | r_i << 2, r_i the seed's RREF rows with
+    pivots p_i, every output row being an XOR of these.
+
+    t' = t + sum of u_i c_i, u_i = x_{p_i}, is zero at every p_i + 2.  If
+    y = 0 the RREF is [t', c_0, c_1, ...].  Otherwise let j be the top set
+    bit of y and b = c_j.  The rows c_i + y_i b (i != j) keep pivot
+    p_i + 2, since p_i < p_j wherever y_i = 1, and of t', b and t' + b the
+    ones with low bits 01 and 10 take pivots 0 and 1.  So the RREF is
+    [p0, p1, c_0 + y_0 b, c_1 + y_1 b, ...] less slot e + 1, e the bit
+    length of y: p1, which is none, when y = 0, else c_j + b = 0.
+    """
+    k, lanes = len(seed_rows), np.arange(len(xs))
+    pivots = np.array([(r & -r).bit_length() - 1 for r in seed_rows], dtype=np.uint32)
+    ybits = ys[None] >> np.arange(k, dtype=ys.dtype)[:, None] & 1
+    c = ybits * body | np.array(seed_rows, dtype=np.uint32)[:, None] << 2
+    u = xs.astype(np.uint32)[None] >> pivots[:, None] & 1
+    t = top ^ np.bitwise_xor.reduce(u * c, axis=0)
+    e = np.frexp(ys)[1]
+    b = np.concatenate([np.zeros_like(c[:1]), c])[e, lanes]  # c_j, or 0 when y = 0
+    tb = t ^ b
+    p0 = np.where(t & 3 == 1, t, np.where(b & 3 == 1, b, tb))
+    p1 = np.where(t & 3 == 2, t, np.where(tb & 3 == 2, tb, 0))
+    slots = np.concatenate([p0[None], p1[None], c ^ ybits * b]).T
+    return slots[np.arange(k + 2) != (e + 1)[:, None]].reshape(len(xs), k + 1)
 
 
 def _kept_children(seed: LinearCode, target_h: int, min_d: int, kinds):
     """Fast path: x by masks over sweep_children's arrays (III by its h3,
-    I/II/IV by predicted_hull), child rows in closed form over the seed's
-    canonical rows r_i (y_i = x . r_i is bit i of ypack), one RREF each.
-    Child rank and Gram hull are checked against the kernel and the claim.
+    I/II/IV by predicted_hull), and each kept child's RREF in closed form
+    (_child_echelon).  The rows must be k + 1 with ascending pivots, each
+    zero at the others' pivots, and the hull k + 1 - rank of their Gram
+    matrix must match the kernel and the claim.
     Returns x, kind index, d and the (records, k+1) echelon rows per record."""
-    n, k = seed.n, seed.k
-    ell = seed.hull_dim()
+    n, k, ell = seed.n, seed.k, seed.hull_dim()
     d10, d11, _dc, h3, ypack, odd = sweep_children(seed)
     even = ~odd
     applicable = (odd, even & (ypack == 0), even & (ypack != 0) & (h3 == target_h), even)
@@ -339,27 +360,33 @@ def _kept_children(seed: LinearCode, target_h: int, min_d: int, kinds):
     # (1 0 | x) over (y_i y_i | r_i) for I/IV, (1 1 | x) over (y_i 0 | r_i) for II/III
     split = ((ks == 1) | (ks == 2)).astype(np.uint32)
     top, body = xs.astype(np.uint32) << 2 | 1 | split << 1, 3 - 2 * split
-    rows = seed.canonical_gen().row_bits
-    child = [top] + [(ypack[xs] >> i & 1) * body | r << 2 for i, r in enumerate(rows)]
-    gram_rows = [np.zeros_like(a) for a in child]
-    for i, a in enumerate(child):
-        for j in range(i, k + 1):
-            bit = (np.bitwise_count(a & child[j]) & 1).astype(np.uint32)
-            gram_rows[i] |= bit << j
-            gram_rows[j] |= bit << i
-    echelon = _lane_rref(child, n + 2)
-    hull = k + 1 - np.count_nonzero(_lane_rref(gram_rows, k + 1), axis=1)
-    ok = (np.count_nonzero(echelon, axis=1) == k + 1) & (hull == target_h)
+    echelon = _child_echelon(seed.canonical_gen().row_bits, xs, ypack[xs], top, body)
+    low = echelon & (~echelon + 1)  # each row's pivot bit
+    found = np.bitwise_or.reduce(low, axis=1)
+    shaped = np.bitwise_count(found) == k + 1
+    shaped &= ((echelon & found[:, None]) == low).all(axis=1)
+    shaped &= (low[:, 1:] > low[:, :-1]).all(axis=1)
+    wide, cols = _lane_dtype(k + 1), np.ascontiguousarray(echelon.T)
+    shifts = np.arange(k + 1, dtype=wide)[:, None]
+    gram_rows = [  # bit j of Gram row i: the parity of echelon rows i AND j
+        np.bitwise_or.reduce((np.bitwise_count(row & cols) & 1).astype(wide) << shifts, axis=0)
+        for row in cols
+    ]
+    hull = k + 1 - _lane_rank(gram_rows, k + 1).astype(np.int16)
+    admits = np.ones((len(_KINDS), k + 2), dtype=bool)  # [kind, hull]: the claim admits it
     for kind in kinds:
-        ok &= (ks != _KIND_ORDER[kind]) | np.isin(hull, list(predicted_hull(kind, ell)))
+        admits[_KIND_ORDER[kind]] = [h in predicted_hull(kind, ell) for h in range(k + 2)]
+    ok = shaped & (hull == target_h) & admits[ks, hull]
     if not ok.all():
         at = int(np.argmin(ok))
         kind = _KINDS[ks[at]]
-        msg = f"rank {np.count_nonzero(echelon[at])} (want {k + 1}), hull {hull[at]} (kernel"
-        msg += f" {target_h}, predicted {sorted(predicted_hull(kind, ell))})"
+        pivots = np.bitwise_count(found[at])
+        rank = f"rank {pivots}" if shaped[at] else f"{pivots} pivots, not ascending and reduced"
+        msg = f"{rank} (want {k + 1}), hull {hull[at]} (kernel {target_h}, predicted"
+        msg += f" {sorted(predicted_hull(kind, ell))})"
         raise ClaimViolationError(f"sweep child {kind} at x={xs[at]}: {msg}")
     ds = np.where(split, d11[xs], d10[xs])
-    return xs, ks, ds, echelon[echelon != 0].reshape(-1, k + 1)
+    return xs, ks, ds, echelon
 
 
 def _sweep_records(seed: LinearCode, sid: str, target_h: int, min_d: int, kinds) -> list:
@@ -367,14 +394,16 @@ def _sweep_records(seed: LinearCode, sid: str, target_h: int, min_d: int, kinds)
     kernel's arrays are freed and one chunk's text is alive at once."""
     n, k = seed.n, seed.k
     xs, ks, ds, canon = _kept_children(seed, target_h, min_d, kinds)
+    params = {d: (n + 2, k + 1, d, target_h) for d in set(ds.tolist())}
     records = []
     for s in range(0, len(xs), RENDER_CHUNK):
         part = slice(s, s + RENDER_CHUNK)
         keys = list(zip(ks[part].tolist(), ds[part].tolist()))
         lines = _render_lines(sid, n, target_h, xs[part], keys, canon[part])
-        rows = map(tuple, canon[part].tolist())
+        blob, width = canon[part].astype(">u4").tobytes(), 4 * (k + 1)
+        rows = [blob[at : at + width] for at in range(0, len(blob), width)]
         records += [
-            SweepRecord._lazy(sid, _KINDS[i], (n + 2, k + 1, d, target_h), line, (n, x, r))
+            SweepRecord._lazy(sid, _KINDS[i], params[d], line, (n, x, r))
             for x, (i, d), r, line in zip(xs[part].tolist(), keys, rows, lines)
         ]
     return records
@@ -423,6 +452,7 @@ def sweep_extensions(
     child has hull dimension target_h and distance at least min_d.
     Order is deterministic: x ascending as an integer, then kind.
     """
+    _check_sizes(target_h=target_h)
     _check_sweep_cap(seed)
     if engine not in ("auto", "reference"):
         raise UsageError(f"unknown engine {engine!r}")
@@ -483,7 +513,7 @@ def best_by_sweep(
     best_d, best = 0, None
     for seed in seeds:
         for rec in sweep_extensions(seed, target_h, min_d=max(best_d, 1), kinds=kinds):
-            d, rows = rec.child_params[2], rec._packed[2]  # fast-path rows, still ints
+            d, rows = rec.child_params[2], rec._packed[2]  # fast-path rows, still bytes
             if d > best_d or (d == best_d and best is not None and rows < best._packed[2]):
                 best_d, best = d, rec
     return OptimalityClaim(
@@ -498,6 +528,13 @@ def best_by_sweep(
 
 
 # ---------------------------------------------------------------- exhaustive
+
+
+def _check_sizes(**sizes) -> None:
+    """Refuse a size that is not an integer, or is negative, once per call."""
+    for name, value in sizes.items():
+        if not hasattr(value, "__index__") or value < 0:
+            raise UsageError(f"{name} must be a non-negative integer, got {value!r}")
 
 
 def _check_exhaustive_cap(n: int, k: int, cap: int | None) -> int:
@@ -528,6 +565,7 @@ def iter_exhaustive(n: int, k: int, h: int, cap: int | None = None) -> Iterator[
     ranges over all [n, k] codes, and hull dimension and distance are
     permutation-invariant.
     """
+    _check_sizes(n=n, k=k, h=h)
     _check_exhaustive_cap(n, k, cap)
     m = n - k
     for candidate in range(1 << (k * m)):
@@ -552,7 +590,7 @@ def _sym_rank_lut(t: int) -> np.ndarray:
             bit = (idx >> b & 1).astype(np.uint8)
             rows[i] |= bit << j
             rows[j] |= bit << i
-        lut[start : start + idx.size] = np.count_nonzero(_lane_rref(rows, t), axis=1)
+        lut[start : start + idx.size] = _lane_rank(rows, t)
     return lut
 
 
@@ -737,6 +775,7 @@ def hull_census(n: int, k: int, cap: int | None = None) -> dict[int, int]:
     counts for its number of distinct row orders, k! / prod(mult_j!),
     mult_j the multiplicities of its equal rows; sorted columns, taken
     when _by_columns, count for m! / prod(mult_j!) column orders each."""
+    _check_sizes(n=n, k=k)
     _check_exhaustive_cap(n, k, cap)
     m = n - k
     by_columns = _by_columns(k, m)
@@ -773,6 +812,7 @@ def exhaustive_codes(
     The distances come from code._codeword_chunks over the kept lanes,
     so the 2^k messages per lane fall under the enumeration cap.
     """
+    _check_sizes(n=n, k=k, h=h)
     _check_exhaustive_cap(n, k, cap)
     m = n - k
     if m == 0:

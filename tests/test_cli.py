@@ -289,6 +289,31 @@ def test_bad_matrix_file(tmp_path, capsys):
     assert rc == EXIT_USAGE
 
 
+@pytest.mark.parametrize("command", ["hull", "distance", "eaqecc"])
+def test_undecodable_matrix_file_is_a_usage_error(tmp_path, capsys, command):
+    f = tmp_path / "bytes.txt"
+    f.write_bytes(Path(SEED).read_bytes().replace(b"\n", b"\n\xff", 2))
+    rc = main([command, str(f)])
+    captured = capsys.readouterr()
+    assert rc == EXIT_USAGE and captured.out == ""
+    assert captured.err.splitlines() == [f"error: line 2: {f}: byte 0xff is not UTF-8"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["exhaustive", "--n", "5", "--k", "2", "--h", "-1"],
+        ["sweep", SEED, "--target-h", "-5"],
+    ],
+)
+def test_negative_hull_dimension_is_a_usage_error(capsys, argv):
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == EXIT_USAGE and captured.out == ""
+    assert captured.err.splitlines() == [captured.err.strip()]
+    assert captured.err.startswith("error: ") and "must be a non-negative integer" in captured.err
+
+
 def test_unknown_command_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["bogus"])

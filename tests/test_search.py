@@ -12,11 +12,16 @@ import copy
 import dataclasses
 import hashlib
 import itertools
+import os
 import pickle
 import random
+import subprocess
+import sys
+import struct
 import time
 import unittest.mock
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -267,6 +272,145 @@ def test_sweep_checks_each_child_against_the_claim(seed_10_6_3, monkeypatch):
             sweep_extensions(seed_10_6_3, ell + 5, kinds=[kind])
 
 
+def _unreduced(seed):
+    """seed with canonical_gen() patched to an echelon form that is not
+    reduced: row 0 also holds row 1's pivot."""
+    rows = seed.canonical_gen().row_bits
+    seed.canonical_gen = lambda: BitMatrix(seed.n, (rows[0] ^ rows[1],) + rows[1:])
+    return seed
+
+
+def test_unreduced_seed_rows_trip_the_echelon_check(seed_10_6_3):
+    seed = _unreduced(LinearCode(seed_10_6_3.gen))
+    with pytest.raises(ClaimViolationError, match="sweep child .*not ascending and reduced"):
+        sweep_extensions(seed, 2)
+
+
+SWEEP_CHECKS = """
+from hullforge import search
+from hullforge.buildup import ConstructionKind
+from hullforge.corpus import by_label, load_corpus
+from hullforge.errors import ClaimViolationError
+from hullforge.gf2 import BitMatrix
+
+def refused(run):
+    try:
+        run()
+    except ClaimViolationError as e:
+        print("ClaimViolationError:", e)
+    else:
+        raise SystemExit("the sweep kept a child that breaks its check")
+
+seed = by_label(load_corpus(validate=False))["seed_10_6_3"].code()
+real = search.predicted_hull
+search.predicted_hull = lambda kind, ell: frozenset({ell + 5})
+refused(lambda: search.sweep_extensions(seed, 2, min_d=3, kinds=[ConstructionKind.III]))
+search.predicted_hull = real
+rows = seed.canonical_gen().row_bits  # as _unreduced in test_search
+seed.canonical_gen = lambda: BitMatrix(seed.n, (rows[0] ^ rows[1],) + rows[1:])
+refused(lambda: search.sweep_extensions(seed, 2))
+"""
+
+
+def test_sweep_checks_survive_optimization():
+    # the claim check and the echelon check raise, so python -O keeps both
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", SWEEP_CHECKS],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 2 and all(ln.startswith("ClaimViolationError: sweep child") for ln in lines)
+    assert "predicted [6]" in lines[0] and "not ascending" not in lines[0]
+    assert "not ascending and reduced" in lines[1]
+
+
+def _lane_rref(rows, ncols):
+    """RREF of one matrix per lane, rows[i][lane] being its row i: slot c
+    of the (lanes, ncols) result holds the reduced row with pivot c, or 0.
+    The generic lane elimination, an oracle for the closed-form echelon."""
+    basis = [np.zeros_like(rows[0]) for _ in range(ncols)]
+    for v in rows:
+        for c in range(ncols):
+            hit = v >> c & 1
+            basis[c] = np.where((hit == 1) & (basis[c] == 0), v, basis[c])
+            v = v ^ hit * basis[c]  # a row just stored clears itself
+    for c in range(ncols - 2, -1, -1):
+        for c2 in range(c + 1, ncols):
+            basis[c] ^= (basis[c] >> c2 & 1) * basis[c2]
+    return np.stack(basis, axis=1)
+
+
+def _assembled_rows(seed_rows, x, ones_top):
+    """The child's rows as the constructions assemble them: (1 0 | x) over
+    (y_i y_i | r_i), or (1 1 | x) over (y_i 0 | r_i), with y_i = x . r_i."""
+    body = 1 if ones_top else 3
+    top = 1 | ones_top << 1 | x << 2
+    return (top,) + tuple(((x & r).bit_count() & 1) * body | r << 2 for r in seed_rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sweep_seeds(max_n=9))
+@example(REP2)
+@example(LinearCode(gf2.identity(6)))  # k = n
+@example(LinearCode(BitMatrix(9, ((1 << 9) - 1,))))  # k = 1, every y = x.x
+@example(LinearCode(BitMatrix(5, (0b00001, 0b00010, 0b11100))))  # y = 0 at x = 0b11000
+def test_closed_form_child_echelon_is_the_row_basis(seed):
+    n, k = seed.n, seed.k
+    rows = seed.canonical_gen().row_bits
+    # every x under both top rows, y = 0 lanes included, kinds applicable or not
+    xs = np.repeat(np.arange(1 << n), 2)
+    ones = np.tile(np.array([0, 1], dtype=np.uint32), 1 << n)
+    ys = np.array(
+        [sum(((x & r).bit_count() & 1) << i for i, r in enumerate(rows)) for x in xs.tolist()],
+        dtype=np.uint32,
+    )
+    top = xs.astype(np.uint32) << 2 | 1 | ones << 1
+    echelon = search._child_echelon(rows, xs, ys, top, 3 - 2 * ones)
+    assert echelon.shape == (2 << n, k + 1)
+    assembled = [_assembled_rows(rows, x, o) for x, o in zip(xs.tolist(), ones.tolist())]
+    lanes = _lane_rref([np.array(col, dtype=np.uint32) for col in zip(*assembled)], n + 2)
+    np.testing.assert_array_equal(echelon, lanes[lanes != 0].reshape(-1, k + 1))
+    for got, child in zip(echelon.tolist(), assembled):
+        assert tuple(got) == gf2.row_basis(BitMatrix(n + 2, child)).row_bits
+    # the records carry the same rows, whichever chunk renders them
+    with unittest.mock.patch.object(search, "RENDER_CHUNK", 3):
+        for h in range(k + 2):
+            for rec in sweep_extensions(seed, h):
+                ones_top = rec.kind in (ConstructionKind.II, ConstructionKind.III)
+                child = _assembled_rows(rows, rec.x.bits, ones_top)
+                assert rec.canonical_gen == gf2.row_basis(BitMatrix(n + 2, child))
+                assert rec.line == _fstring_line(rec)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 10), st.integers(1, 12), st.integers(1, 30), st.data())
+@example(3, 4, 5, None)  # all zero
+def test_lane_rank_matches_rank(nrows, ncols, lanes, data):
+    if data is None:
+        cells, zero_rows, zero_cols = [[0] * lanes] * nrows, set(), set()
+    else:
+        word = st.integers(0, (1 << ncols) - 1)
+        cells = data.draw(st.lists(st.lists(word, min_size=lanes, max_size=lanes),
+                                   min_size=nrows, max_size=nrows))
+        zero_rows = data.draw(st.sets(st.integers(0, nrows - 1)))
+        zero_cols = data.draw(st.sets(st.integers(0, ncols - 1)))
+    mask = (1 << ncols) - 1 - sum(1 << c for c in zero_cols)
+    cells = [[0 if i in zero_rows else v & mask for v in row] for i, row in enumerate(cells)]
+    rows = [np.array(row, dtype=search._lane_dtype(ncols)) for row in cells]
+    before = [r.copy() for r in rows]
+    got = search._lane_rank(rows, ncols)
+    assert got.dtype == np.uint8 and got.shape == (lanes,)
+    for lane in range(lanes):
+        want = gf2.rank(BitMatrix(ncols, tuple(row[lane] for row in cells)))
+        assert got[lane] == want
+    for a, b in zip(rows, before):
+        np.testing.assert_array_equal(a, b)  # the input rows are left alone
+
+
 def test_best_by_sweep_from_bundled_seed(entries):
     seed = entries["D4_10_5_4"].code()
     claim = best_by_sweep([seed], 5)
@@ -360,6 +504,32 @@ def test_exhaustive_matches_reference(h):
         witness = LinearCode(claim.witness)
         assert witness.hull_dim() == h
         assert witness.min_distance() == best
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: exhaustive_codes(5, 2, -1),
+        lambda: exhaustive_codes(5.0, 2, 1),
+        lambda: exhaustive_codes(5, 2, 1.0),
+        lambda: list(iter_exhaustive(4, 2, -1)),
+        lambda: list(iter_exhaustive(4, "2", 1)),
+        lambda: hull_census(5, 2.5),
+        lambda: hull_census(None, 2),
+        lambda: sweep_extensions(REP2, -5),
+        lambda: sweep_extensions(REP2, 1.0),
+        lambda: best_by_sweep([REP2], -1),
+    ],
+)
+def test_sizes_must_be_non_negative_integers(call):
+    with pytest.raises(UsageError, match="must be a non-negative integer"):
+        call()
+
+
+def test_numpy_integer_sizes_are_accepted():
+    assert exhaustive_codes(np.int64(5), np.int64(2), np.int64(1)) == exhaustive_codes(5, 2, 1)
+    assert hull_census(np.int64(5), 2) == hull_census(5, 2)
+    assert sweep_extensions(REP2, np.int64(2)) == sweep_extensions(REP2, 2)
 
 
 def test_exhaustive_named_cells():
@@ -1056,11 +1226,12 @@ def test_fast_records_match_reference_records(seed, kinds):
 
 def test_packed_fields_are_validated_when_built():
     kind = ConstructionKind.I
-    rec = SweepRecord._lazy("s", kind, (4, 2, 2, 2), None, (2, 0b100, (0b0101, 0b1010)))
+    rows = struct.pack(">2I", 0b0101, 0b1010)  # big-endian uint32 rows, as the sweep packs them
+    rec = SweepRecord._lazy("s", kind, (4, 2, 2, 2), None, (2, 0b100, rows))
     with pytest.raises(DimensionError):
         rec.x
     assert rec.canonical_gen == BitMatrix(4, (0b0101, 0b1010))
-    rec = SweepRecord._lazy("s", kind, (4, 2, 2, 2), None, (2, 0b10, (0b10000,)))
+    rec = SweepRecord._lazy("s", kind, (4, 2, 2, 2), None, (2, 0b10, struct.pack(">I", 0b10000)))
     with pytest.raises(DimensionError):
         rec.canonical_gen
     assert rec.x == BitVector(2, 0b10)
