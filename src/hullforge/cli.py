@@ -8,6 +8,7 @@ All output is deterministic for identical invocations.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import corpus
@@ -362,7 +363,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a reader that closed the pipe shows here, not at exit
+        return status
+    except BrokenPipeError:
+        # the reader has all it wanted: end quietly, with nothing left to flush at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except ResourceLimitError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_LIMIT

@@ -11,8 +11,9 @@ Matrix file format (one entry per file):
 Lines starting with ``#`` before the header are comments; ``# source:``
 and ``# optimality:`` are structured and become entry fields, anything
 else is kept verbatim as a note.  A bare ``n k`` header (no claims) is
-also accepted for ad-hoc matrix input.  Serialization is canonical, so
-serialize(parse(text)) == text for every bundled fixture.
+also accepted for ad-hoc matrix input.  Every bundled fixture is in
+canonical form: the tests write each parsed entry back in this format
+and get its text byte for byte.
 
 Table files are line-delimited records with a fixed field order, one
 cell per line (see ``load_tables`` and ``load_comparison``).
@@ -44,7 +45,6 @@ __all__ = [
     "OPTIMALITY_KINDS",
     "TABLE_IDS",
     "parse_entry",
-    "serialize_entry",
     "parse_matrix_file",
     "read_text",
     "load_corpus",
@@ -290,22 +290,6 @@ def parse_entry(text: str, where: str = "<string>") -> CorpusEntry:
         matrix=BitMatrix.from_strings(rows),
         notes=notes,
     )
-
-
-def serialize_entry(entry: CorpusEntry) -> str:
-    """Canonical text form; inverse of parse_entry for bundled files."""
-    out = []
-    for note in entry.notes:
-        out.append(f"# {note}")
-    if entry.source:
-        out.append(f"# source: {entry.source}")
-    out.append(f"# optimality: {entry.optimality}")
-    out.append(
-        f"{entry.claimed_n} {entry.claimed_k} {entry.claimed_d}"
-        f" {entry.claimed_h} {entry.label}"
-    )
-    out.extend(entry.matrix.to_strings())
-    return "\n".join(out) + "\n"
 
 
 def parse_matrix_file(text: str, where: str = "<string>") -> MatrixFile:

@@ -18,12 +18,8 @@ __all__ = [
     "BitMatrix",
     "dot",
     "rank",
-    "rref",
     "mat_mul",
     "transpose",
-    "identity",
-    "zeros",
-    "stack",
     "nullspace_basis",
     "row_space_intersection",
     "in_row_space",
@@ -229,12 +225,6 @@ def rank(m: BitMatrix) -> int:
     return _Span(m.row_bits).dim
 
 
-def rref(m: BitMatrix) -> tuple[BitMatrix, list[int]]:
-    """Reduced row echelon form plus pivot columns.  Shape-preserving."""
-    rows, pivots = _rref_ints(m.row_bits, m.ncols)
-    return BitMatrix(m.ncols, tuple(rows)), pivots
-
-
 def row_basis(m: BitMatrix) -> BitMatrix:
     """RREF with zero rows dropped: the canonical basis of the row space."""
     rows, pivots = _rref_ints(m.row_bits, m.ncols)
@@ -277,20 +267,6 @@ def gram(m: BitMatrix) -> BitMatrix:
             v |= ((a & b).bit_count() & 1) << j
         out.append(v)
     return BitMatrix(m.nrows, tuple(out))
-
-
-def identity(n: int) -> BitMatrix:
-    return BitMatrix(n, tuple(1 << i for i in range(n)))
-
-
-def zeros(nrows: int, ncols: int) -> BitMatrix:
-    return BitMatrix(ncols, (0,) * nrows)
-
-
-def stack(a: BitMatrix, b: BitMatrix) -> BitMatrix:
-    if a.ncols != b.ncols:
-        raise DimensionError("width mismatch")
-    return BitMatrix(a.ncols, a.row_bits + b.row_bits)
 
 
 def nullspace_basis(m: BitMatrix) -> BitMatrix:

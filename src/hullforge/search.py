@@ -8,9 +8,12 @@ min-plus coset leaders; _rank3_table), writes each kept child's RREF in
 closed form from the seed's RREF (_child_echelon), checks its shape and
 Gram-rank hull, and renders the records' lines in one NumPy pass, the
 records holding x and the rows packed until read.  Exhaustive search
-and census run the codeword kernel of code._codeword_chunks over lanes
-of sorted free blocks; equivalence search backtracks over column
-profiles taken from the same chunks.
+runs the codeword kernel of code._codeword_chunks over lanes of sorted
+free blocks; the census enumerates nothing, walking the congruence
+classes of I + AA^T one column of A at a time (_census_walk), and checks
+each nonexistence that exhaustive search finds for h <= min(k, n-k).
+Equivalence search backtracks over column profiles taken from the
+codeword chunks.
 """
 
 from __future__ import annotations
@@ -156,13 +159,9 @@ def _applicable(kind: ConstructionKind, odd: bool, y_zero: bool) -> bool:
 
 
 def _check_sweep_cap(seed: LinearCode) -> None:
-    """Refuse n > SWEEP_CAP, and n + k > 30.
-
-    _coset_scan costs about (n+1) 2^(n+1) for the cosets plus
-    (n+1) k 2^k for the weight classes, and the kept records come on
-    top; the n + k gate, set when the scan did 2^(n+k) lane-steps, is
-    now conservative.
-    """
+    """Refuse n > SWEEP_CAP, and n + k > 30: _coset_scan costs about
+    (n+1) 2^(n+1) + (n+1) k 2^k, plus the kept records; the n + k gate,
+    set when the scan did 2^(n+k) lane-steps, is now conservative."""
     if seed.n > SWEEP_CAP:
         raise ResourceLimitError(
             f"sweep over 2^{seed.n} extension vectors exceeds cap n <= {SWEEP_CAP}",
@@ -452,7 +451,7 @@ def sweep_extensions(
     child has hull dimension target_h and distance at least min_d.
     Order is deterministic: x ascending as an integer, then kind.
     """
-    _check_sizes(target_h=target_h)
+    _check_sizes(target_h=target_h, min_d=min_d)
     _check_sweep_cap(seed)
     if engine not in ("auto", "reference"):
         raise UsageError(f"unknown engine {engine!r}")
@@ -501,6 +500,7 @@ def best_by_sweep(
     always lower_bound.  Ties on distance are broken toward the
     row-wise lexicographically smallest reduced generator.
     """
+    _check_sizes(target_h=target_h)
     seeds = list(seeds)
     if not seeds:
         raise UsageError("need at least one seed")
@@ -531,8 +531,11 @@ def best_by_sweep(
 
 
 def _check_sizes(**sizes) -> None:
-    """Refuse a size that is not an integer, or is negative, once per call."""
+    """Refuse a size that is not an integer, or is negative, once per call;
+    d_floor may also be None."""
     for name, value in sizes.items():
+        if name == "d_floor" and value is None:
+            continue
         if not hasattr(value, "__index__") or value < 0:
             raise UsageError(f"{name} must be a non-negative integer, got {value!r}")
 
@@ -617,12 +620,9 @@ def _transpose_lanes(vecs: list[np.ndarray], bits: int) -> list[np.ndarray]:
 
 
 def _hull_dims(rows: list[np.ndarray], k: int, m: int) -> np.ndarray:
-    """Hull dimension per lane via the smaller Gram product.
-
-    With G = [I | A], the hull dimension equals k - rank(I + A A^T)
-    and also m - rank(I + A^T A): the kernels correspond under w -> Aw.
-    Work on whichever side is smaller.
-    """
+    """Hull dimension per lane of G = [I | A]: k - rank(I + AA^T), which is
+    m - rank(I + A^T A) (the kernels correspond under w -> Aw), from
+    whichever side is smaller."""
     t = min(k, m)
     if t == 0:
         return np.zeros(rows[0].shape if rows else (1,), dtype=np.uint8)
@@ -719,20 +719,6 @@ def _sorted_free_blocks(k: int, m: int) -> Iterator[list[np.ndarray]]:
             yield [np.repeat(row[j0:j1], lens) for row in head] + tail
 
 
-def _orderings(rows: list[np.ndarray], k: int, m: int) -> np.ndarray:
-    """Distinct orders of each sorted lane of k m-bit words, k! / prod(mult_j!),
-    as exact integers: after word i it is the count for words 0..i."""
-    # the products stay below 2^(k m) * k; past int64 use Python integers
-    exact = np.int64 if k * m + k.bit_length() <= 63 else object
-    weights = np.ones(rows[0].shape, dtype=exact)
-    run = np.ones(rows[0].shape, dtype=np.uint8)
-    for i in range(1, k):
-        run = np.where(rows[i] == rows[i - 1], run + 1, 1)
-        weights *= i + 1
-        weights //= run
-    return weights
-
-
 def _by_columns(k: int, m: int) -> bool:
     """Whether to enumerate the C(2^k + m - 1, m) sorted columns of A
     instead of its C(2^m + k - 1, k) sorted rows, after the row side's
@@ -766,27 +752,51 @@ def _least_block(cols: list[np.ndarray], k: int, m: int) -> tuple[int, ...]:
     return tuple(best >> (k - 1 - i) * m & ((1 << m) - 1) for i in range(k))
 
 
+def _class_moves(k: int, r: int, alt: bool) -> list[tuple[tuple[int, bool], int]]:
+    """(class, count) of S + a a^T over the 2^k vectors a, S symmetric of
+    rank r, alternating (diagonal d = 0) or not.  a outside col S raises
+    the rank, and d + a != 0 as d lies in col S.  a = Sw lowers it when
+    w.a = w^T S w = d.w is 1: a linear form on col S, 0 if S alternates,
+    else 1 at a = d iff r is odd.  a = d leaves S + a a^T alternating."""
+    moves = [((r + 1, False), (1 << k) - (1 << r))]
+    if alt:
+        return moves + [((r, True), 1), ((r, False), (1 << r) - 1)]
+    at_d, other = (r - 1, r) if r & 1 else (r, r - 1)  # the ranks of the form's two halves
+    half = 1 << (r - 1)
+    return moves + [((at_d, True), 1), ((at_d, False), half - 1), ((other, False), half)]
+
+
+def _census_walk(k: int, m: int) -> dict[int, int]:
+    """Blocks A by hull dimension k - rank(I + AA^T), adding A's columns
+    one at a time: a symmetric matrix's congruence class over GF(2) is its
+    rank and whether it is alternating, so m steps over 2k + 1 classes."""
+    classes = {(k, False): 1}  # I_k
+    for _ in range(m):
+        step: dict[tuple[int, bool], int] = {}
+        for (r, alt), count in classes.items():
+            for to, ways in _class_moves(k, r, alt):
+                if ways:
+                    step[to] = step.get(to, 0) + count * ways
+        classes = step
+    counts = [0] * (k + 1)
+    for (r, _), count in classes.items():
+        counts[k - r] += count
+    return {h: c for h, c in enumerate(counts) if c}
+
+
 def hull_census(n: int, k: int, cap: int | None = None) -> dict[int, int]:
     """Count systematic generators by hull dimension; sums to 2^{k(n-k)}.
 
-    Permuting the rows of the free block A (with the matching identity
-    columns) keeps the code up to equivalence, so only blocks with sorted
-    rows are enumerated, C(2^m + k - 1, k) of them for m = n - k.  Each
-    counts for its number of distinct row orders, k! / prod(mult_j!),
-    mult_j the multiplicities of its equal rows; sorted columns, taken
-    when _by_columns, count for m! / prod(mult_j!) column orders each."""
+    Exact, by _census_walk, enumerating no lane; refused, in the same
+    order, wherever exhaustive_codes would be: sizes, the k(n-k) cap,
+    lanes past 64 bits, min(k, n-k) past the rank table's cap."""
     _check_sizes(n=n, k=k)
     _check_exhaustive_cap(n, k, cap)
-    m = n - k
-    by_columns = _by_columns(k, m)
-    counts = [0] * (min(k, m) + 1)
-    for words in _sorted_free_blocks(m, k) if by_columns else _sorted_free_blocks(k, m):
-        rows = _transpose_lanes(words, k) if by_columns else words
-        hs = _hull_dims(rows, k, m)
-        weights = _orderings(words, m, k) if by_columns else _orderings(words, k, m)
-        for h in range(len(counts)):
-            counts[h] += int(weights.sum(where=hs == h, initial=0))
-    return {h: c for h, c in enumerate(counts) if c}
+    k, m = int(k), int(n - k)
+    _by_columns(k, m)
+    if min(k, m) > SYM_RANK_CAP:
+        _sym_rank_lut(min(k, m))  # raises its refusal before building anything
+    return _census_walk(k, m)
 
 
 def exhaustive_codes(
@@ -794,25 +804,21 @@ def exhaustive_codes(
 ) -> OptimalityClaim:
     """Settle the (n, k, h) cell over every systematic generator [I | A].
 
-    Returns the h-restricted optimum: status h_optimal with a max-d
-    witness when codes with hull dimension h exist (and meet d_floor if
-    given), status nonexistence otherwise.  The witness is the max-d
-    code whose generator is row-wise lexicographically smallest.
+    Returns status h_optimal with the max-d witness whose generator is
+    row-wise lexicographically smallest when codes with hull dimension h
+    exist (and meet d_floor if given), else nonexistence; one found for
+    h <= min(k, n-k) is checked against hull_census's count.
 
-    Permuting the rows of A (with the matching identity columns) gives
-    an equivalent code with the same h and d, so only free blocks with
-    sorted rows are enumerated: C(2^m + k - 1, k) lanes for m = n - k,
-    not 2^{k m}.  The sorted order is the lexicographically smallest of
-    its row permutations, and lanes come in lexicographic order, so the
-    first max-d lane is the witness the full enumeration would pick.
-    When _by_columns, the sorted columns are enumerated instead: the
-    max-d blocks are closed under row and column orders, and each row
-    order of a block has its own column lane, so the witness is the
-    least block (_least_block) over the column orders of the max-d lanes.
-    The distances come from code._codeword_chunks over the kept lanes,
-    so the 2^k messages per lane fall under the enumeration cap.
+    Row orders of A give equivalent codes, so only blocks with sorted rows
+    are visited, C(2^m + k - 1, k) lanes for m = n - k, in lexicographic
+    order: the first max-d lane is the witness.  When _by_columns, sorted
+    columns are visited instead; the max-d blocks are closed under row and
+    column orders, so the witness is the least block over the column
+    orders of the max-d lanes (_least_block).  Distances come from
+    code._codeword_chunks over the kept lanes, so the 2^k messages per
+    lane fall under the enumeration cap.
     """
-    _check_sizes(n=n, k=k, h=h)
+    _check_sizes(n=n, k=k, h=h, d_floor=d_floor)
     _check_exhaustive_cap(n, k, cap)
     m = n - k
     if m == 0:
@@ -846,6 +852,9 @@ def exhaustive_codes(
         if top > best_d or free < best_free:
             best_d, best_free = top, free
 
+    if best_free is None and (blocks := _census_walk(int(k), int(m)).get(h)):
+        msg = f"no lane has hull dimension {h}, but the census counts {blocks} blocks"
+        raise ClaimViolationError(f"exhaustive ({n},{k},{h}): {msg}")
     if best_free is None or (d_floor is not None and best_d < d_floor):
         # either no code has this hull dimension, or none reaches the floor
         return OptimalityClaim(n, k, h, best_d, "nonexistence", None, "exhaustive")

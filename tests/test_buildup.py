@@ -34,6 +34,7 @@ from hullforge.errors import (
     WrongParityError,
 )
 from hullforge.gf2 import BitMatrix, BitVector
+from helpers import identity
 from hullforge.search import best_by_sweep, sweep_extensions
 
 SEED_10_6_3 = [
@@ -286,7 +287,7 @@ def test_construct_IV_lcd_to_lcd():
 
 
 def test_construct_IV_full_space_seed():
-    c = from_generator(gf2.identity(2))
+    c = from_generator(identity(2))
     res = construct_IV(c, BitVector.from01("11"))
     assert (res.child.n, res.child.k) == (4, 3)
     assert res.parity_check.nrows == 1

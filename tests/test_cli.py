@@ -346,3 +346,27 @@ def test_hull_command_under_optimization():
     ]
     assert [p.returncode for p in outs] == [0, 0]
     assert outs[1].stdout == outs[0].stdout == "h = 3, k = 7, LCD: no, self-orthogonal: no\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["reproduce-tables", "--format", "csv"],
+        # 1.4 MB of records, past any pipe buffer: its writes meet the closed pipe
+        ["sweep", str(H1 / "G1_13_11_2.txt"), "--target-h", "2"],
+    ],
+)
+def test_reader_closing_stdout_ends_quietly(argv):
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hullforge.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()  # as `| head -1` does
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == EXIT_OK
+    assert first and err == b""

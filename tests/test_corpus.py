@@ -16,10 +16,10 @@ from hullforge.corpus import (
     load_tables,
     parse_entry,
     parse_matrix_file,
-    serialize_entry,
 )
 from hullforge.errors import CorpusFormatError, CorpusValidationError
 from hullforge.gf2 import BitMatrix
+from helpers import serialize_entry
 
 TABLE_FOR_H = {1: "T1", 2: "T3", 3: "T5", 4: "T7", 5: "T9"}
 

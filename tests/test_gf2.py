@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hullforge.errors import DimensionError
 from hullforge import gf2
 from hullforge.gf2 import BitMatrix, BitVector
+from helpers import identity, rref, stack, zeros
 
 # Seed generator of the [10,6,3] running example; hull dimension 1,
 # so rank(G G^T) must be 5 (checked independently below).
@@ -74,8 +75,8 @@ def test_dot_basics():
 
 
 def test_rank_trivial():
-    assert gf2.rank(gf2.identity(6)) == 6
-    assert gf2.rank(gf2.zeros(4, 9)) == 0
+    assert gf2.rank(identity(6)) == 6
+    assert gf2.rank(zeros(4, 9)) == 0
     assert gf2.rank(BitMatrix(5, ())) == 0
 
 
@@ -89,14 +90,14 @@ def test_seed_gram_rank():
 
 
 def test_rref_identity():
-    m, pivots = gf2.rref(gf2.identity(5))
-    assert m == gf2.identity(5)
+    m, pivots = rref(identity(5))
+    assert m == identity(5)
     assert pivots == [0, 1, 2, 3, 4]
 
 
 def test_rref_of_extension_matches_standard_form():
     m = BitMatrix.from_strings(EXT_12_7_3)
-    red, pivots = gf2.rref(m)
+    red, pivots = rref(m)
     assert red == BitMatrix.from_strings(EXT_12_7_3_RREF)
     assert pivots == [0, 1, 2, 3, 4, 5, 7]
 
@@ -105,10 +106,10 @@ def test_rref_idempotent_and_span_preserving():
     rng = random.Random(1)
     for _ in range(50):
         m = _random_matrix(rng, 8, 12)
-        red, pivots = gf2.rref(m)
+        red, pivots = rref(m)
         assert red.nrows == m.nrows
         assert len(pivots) == gf2.rank(m)
-        again, pivots2 = gf2.rref(red)
+        again, pivots2 = rref(red)
         assert again == red and pivots2 == pivots
         for row in m.rows:
             assert gf2.in_row_space(red, row)
@@ -119,7 +120,7 @@ def test_rref_idempotent_and_span_preserving():
 def test_mat_mul_shapes_and_identity():
     rng = random.Random(2)
     m = _random_matrix(rng, 4, 7)
-    assert gf2.mat_mul(gf2.identity(4), m) == m
+    assert gf2.mat_mul(identity(4), m) == m
     with pytest.raises(DimensionError):
         gf2.mat_mul(m, m)
 
@@ -133,12 +134,12 @@ def test_transpose_round_trip():
 
 
 def test_nullspace_identity_empty():
-    ns = gf2.nullspace_basis(gf2.identity(4))
+    ns = gf2.nullspace_basis(identity(4))
     assert ns.nrows == 0 and ns.ncols == 4
 
 
 def test_nullspace_of_zero_row():
-    ns = gf2.nullspace_basis(gf2.zeros(1, 6))
+    ns = gf2.nullspace_basis(zeros(1, 6))
     assert ns.nrows == 6
     assert gf2.rank(ns) == 6
 
@@ -181,7 +182,7 @@ def test_wide_matrices_beyond_64_columns():
     rng = random.Random(6)
     m = _random_matrix(rng, 10, n)
     assert gf2.rank(m) <= 10
-    red, pivots = gf2.rref(m)
+    red, pivots = rref(m)
     assert len(pivots) == gf2.rank(m)
     ns = gf2.nullspace_basis(m)
     assert ns.nrows == n - len(pivots)
@@ -234,7 +235,7 @@ def test_intersection_dimension_formula(a, b):
         a = BitMatrix(width, a.row_bits)
         b = BitMatrix(width, b.row_bits)
     inter = gf2.row_space_intersection(a, b)
-    stacked = gf2.stack(a, b)
+    stacked = stack(a, b)
     assert inter.nrows == gf2.rank(a) + gf2.rank(b) - gf2.rank(stacked)
     for row in inter.rows:
         assert gf2.in_row_space(a, row)

@@ -53,6 +53,7 @@ from hullforge.search import (
     iter_exhaustive,
     sweep_extensions,
 )
+from helpers import identity
 
 REP2 = LinearCode(BitMatrix.from_strings(["11"]))
 
@@ -235,7 +236,7 @@ def _assert_scan_matches_gray_loop(seed):
 
 @settings(max_examples=150, deadline=None)
 @given(sweep_seeds(max_n=10))
-@example(LinearCode(gf2.identity(7)))  # k = n
+@example(LinearCode(identity(7)))  # k = n
 # rank-deficient rows: the third is the sum of the first two
 @example(LinearCode(BitMatrix(9, (0b110000011, 0b000111001, 0b110111010, 0b100000001))))
 def test_coset_scan_matches_gray_loop_on_random_seeds(seed):
@@ -355,7 +356,7 @@ def _assembled_rows(seed_rows, x, ones_top):
 @settings(max_examples=100, deadline=None)
 @given(sweep_seeds(max_n=9))
 @example(REP2)
-@example(LinearCode(gf2.identity(6)))  # k = n
+@example(LinearCode(identity(6)))  # k = n
 @example(LinearCode(BitMatrix(9, ((1 << 9) - 1,))))  # k = 1, every y = x.x
 @example(LinearCode(BitMatrix(5, (0b00001, 0b00010, 0b11100))))  # y = 0 at x = 0b11000
 def test_closed_form_child_echelon_is_the_row_basis(seed):
@@ -484,6 +485,132 @@ def test_census_matches_reference(n, k):
     assert sum(fast.values()) == 1 << (k * (n - k))
 
 
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 14).flatmap(lambda k: st.tuples(st.just(k), st.integers(0, 14 // k))))
+def test_census_matches_reference_on_random_shapes(shape):
+    k, m = shape
+    assert hull_census(k + m, k) == _pure_census(k + m, k)
+
+
+def _orderings(rows: list[np.ndarray], k: int, m: int) -> np.ndarray:
+    """Distinct orders of each sorted lane of k m-bit words, k! / prod(mult_j!),
+    as exact integers: after word i it is the count for words 0..i."""
+    # the products stay below 2^(k m) * k; past int64 use Python integers
+    exact = np.int64 if k * m + k.bit_length() <= 63 else object
+    weights = np.ones(rows[0].shape, dtype=exact)
+    run = np.ones(rows[0].shape, dtype=np.uint8)
+    for i in range(1, k):
+        run = np.where(rows[i] == rows[i - 1], run + 1, 1)
+        weights *= i + 1
+        weights //= run
+    return weights
+
+
+def _sorted_block_census(n, k):
+    """The census over sorted free blocks that the walk replaced: each
+    sorted block of rows counts for its k! / prod(mult_j!) row orders, or,
+    when _by_columns, each sorted block of columns for its column orders."""
+    m = n - k
+    by_columns = search._by_columns(k, m)
+    counts = [0] * (min(k, m) + 1)
+    for words in search._sorted_free_blocks(*((m, k) if by_columns else (k, m))):
+        rows = search._transpose_lanes(words, k) if by_columns else words
+        hs = search._hull_dims(rows, k, m)
+        weights = _orderings(words, m, k) if by_columns else _orderings(words, k, m)
+        for h in range(len(counts)):
+            counts[h] += int(weights.sum(where=hs == h, initial=0))
+    return {h: c for h, c in enumerate(counts) if c}
+
+
+def test_census_walk_matches_sorted_blocks():
+    # the 67 shapes of test_census_bytes, rows and columns sides alike
+    shapes = [(n, k) for n in range(1, 14) for k in range(1, n + 1) if k * (n - k) <= 22]
+    assert len(shapes) == 67
+    for n, k in shapes:
+        assert hull_census(n, k) == _sorted_block_census(n, k), (n, k)
+
+
+def _class_representative(k, r, alt):
+    """Rows of one k x k symmetric matrix of rank r: r/2 hyperbolic
+    blocks [[0, 1], [1, 0]] if alternating, else I_r, then zeros."""
+    if alt:
+        return [1 << (i ^ 1) if i < r else 0 for i in range(k)]
+    return [1 << i if i < r else 0 for i in range(k)]
+
+
+def test_class_moves_match_enumeration():
+    for k in range(1, 9):
+        for r in range(k + 1):
+            for alt in (False, True):
+                if alt and r % 2 or not alt and r == 0:
+                    continue  # no such class
+                rows = _class_representative(k, r, alt)
+                found = collections.Counter()
+                for a in range(1 << k):
+                    moved = [row ^ (a if a >> i & 1 else 0) for i, row in enumerate(rows)]
+                    rank = gf2.rank(BitMatrix(k, tuple(moved)))
+                    found[rank, all(not row >> i & 1 for i, row in enumerate(moved))] += 1
+                moves = {to: ways for to, ways in search._class_moves(k, r, alt) if ways}
+                assert moves == found, (k, r, alt)
+
+
+def test_census_enumerates_no_lane(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the census enumerated lanes")
+
+    want = _sorted_block_census(10, 5)
+    monkeypatch.setattr(search, "_sorted_free_blocks", refuse)
+    monkeypatch.setattr(search, "_hull_dims", refuse)
+    assert hull_census(10, 5, cap=25) == want
+
+
+def test_exhaustive_checks_nonexistence_against_the_census(monkeypatch):
+    # the walk runs only where no lane has hull h <= min(k, m)
+    def refuse(k, m):
+        raise AssertionError("the census ran on a settled cell")
+
+    real = search._census_walk
+    monkeypatch.setattr(search, "_census_walk", refuse)
+    assert exhaustive_codes(6, 3, 1).status == "h_optimal"
+    assert exhaustive_codes(6, 3, 4).status == "nonexistence"  # h > min(k, m)
+    assert exhaustive_codes(4, 2, 2, d_floor=3).status == "nonexistence"  # below the floor
+    monkeypatch.setattr(search, "_census_walk", real)
+    monkeypatch.setattr(search, "_hull_dims", lambda rows, k, m: np.full(rows[0].shape, 9, np.uint8))
+    blocks = hull_census(6, 3)[1]
+    with pytest.raises(ClaimViolationError, match=rf"exhaustive \(6,3,1\): .* counts {blocks} blocks"):
+        exhaustive_codes(6, 3, 1)
+
+
+EXHAUSTIVE_CHECK = """
+import numpy as np
+from hullforge import search
+from hullforge.errors import ClaimViolationError
+
+assert False, "asserts run: not under -O"  # stripped by -O
+search._hull_dims = lambda rows, k, m: np.full(rows[0].shape, min(k, m) + 1, np.uint8)
+for n, k, h in [(6, 3, 1), (13, 2, 1), (10, 5, 2)]:  # rows side, columns side, raised cap
+    try:
+        search.exhaustive_codes(n, k, h, cap=25)
+    except ClaimViolationError as e:
+        print("ClaimViolationError:", e)
+    else:
+        raise SystemExit(f"exhaustive ({n},{k},{h}) claimed a nonexistence the census contradicts")
+"""
+
+
+def test_exhaustive_census_check_survives_optimization():
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", EXHAUSTIVE_CHECK],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 3 and all(ln.startswith("ClaimViolationError: exhaustive (") for ln in lines)
+
+
 def test_census_partition_invariant():
     for n, k in [(7, 3), (8, 4), (9, 2)]:
         assert sum(hull_census(n, k).values()) == 1 << (k * (n - k))
@@ -519,11 +646,28 @@ def test_exhaustive_matches_reference(h):
         lambda: sweep_extensions(REP2, -5),
         lambda: sweep_extensions(REP2, 1.0),
         lambda: best_by_sweep([REP2], -1),
+        lambda: exhaustive_codes(5, 2, 1, d_floor="2"),
+        lambda: exhaustive_codes(5, 2, 1, d_floor=2.5),
+        lambda: exhaustive_codes(5, 2, 1, d_floor=-1),
+        lambda: sweep_extensions(REP2, 1, min_d="3"),
+        lambda: sweep_extensions(REP2, 1, min_d=2.5),
+        lambda: sweep_extensions(REP2, 1, min_d=-1),
+        # checked at entry: before the caps, the seeds and any enumeration
+        lambda: exhaustive_codes(12, 6, 1, d_floor="2"),
+        lambda: sweep_extensions(LinearCode(BitMatrix.from_strings(["1" * 21])), 1, min_d="3"),
+        lambda: best_by_sweep([], 1.5),
     ],
 )
 def test_sizes_must_be_non_negative_integers(call):
     with pytest.raises(UsageError, match="must be a non-negative integer"):
         call()
+
+
+def test_floors_may_be_none_or_zero():
+    assert exhaustive_codes(5, 2, 1, d_floor=None) == exhaustive_codes(5, 2, 1)
+    assert exhaustive_codes(5, 2, 1, d_floor=0) == exhaustive_codes(5, 2, 1)
+    assert sweep_extensions(REP2, 2, min_d=0) == sweep_extensions(REP2, 2, min_d=1)
+    assert sweep_extensions(REP2, 2, min_d=np.int64(0)) == sweep_extensions(REP2, 2, min_d=0)
 
 
 def test_numpy_integer_sizes_are_accepted():
@@ -744,17 +888,11 @@ def test_exhaustive_column_side_matches_oracle(shape, chunk_bits, data):
         assert claim.witness.to_strings() == witness
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.sampled_from(COLUMN_SHAPES), st.integers(0, 4))
-def test_census_column_side_matches_reference(shape, chunk_bits):
-    k, m = shape
-    assume(k * m <= 10)
-    with pytest.MonkeyPatch.context() as mp:
-        chunks = _column_chunks(mp, chunk_bits)
-        assert search._by_columns(k, m)
-        fast = hull_census(k + m, k)
-    _check_column_chunks(chunks, k, m, chunk_bits)
-    assert fast == _pure_census(k + m, k)
+def test_census_column_side_matches_reference():
+    # the shapes the sorted-block census took from the column side
+    for k, m in COLUMN_SHAPES:
+        if k * m <= 10:
+            assert hull_census(k + m, k) == _pure_census(k + m, k), (k, m)
 
 
 @settings(max_examples=40, deadline=None)
@@ -837,7 +975,7 @@ def test_resource_limits_report_the_requested_size(monkeypatch):
     tall = LinearCode(BitMatrix.from_strings(["1" + "0" * 29]))
     assert caught(tall.covering_radius) == (24, 29)
     monkeypatch.setenv("HULLFORGE_MAX_K", "3")
-    assert caught(LinearCode(gf2.identity(5)).min_distance) == (3, 5)
+    assert caught(LinearCode(identity(5)).min_distance) == (3, 5)
 
 
 def _sym_rows(t: int, idx: int) -> tuple[int, ...]:
