@@ -190,32 +190,23 @@ def predicted_hull(kind: ConstructionKind, ell: int) -> frozenset:
     return frozenset({ell if kind is ConstructionKind.IV else ell + 1})
 
 
+# kind: (G top, G body mask, H top, H body mask), the two head columns' bits:
+# G is (top | x) over (y_i * body | r_i), H is (top | x) over (z_j * body | s_j)
+_HEADS = {
+    ConstructionKind.I: (1, 3, 1, 3),
+    ConstructionKind.II: (3, 1, 3, 2),
+    ConstructionKind.III: (3, 1, 3, 2),
+    ConstructionKind.IV: (1, 3, 2, 3),
+}
+
+
 def _assemble(seed: LinearCode, ext: ExtensionVector, kind: ConstructionKind) -> BuildResult:
     n, k = seed.n, seed.k
-    x = ext.x.bits
-    y = ext.y.bits
-    z = ext.z.bits
-    gen_rows = []
-    h_rows = []
-    if kind in (ConstructionKind.I, ConstructionKind.IV):
-        gen_rows.append(1 | (x << 2))  # (1 0 | x)
-        for i, r in enumerate(seed.gen.row_bits):
-            yi = y >> i & 1
-            gen_rows.append(yi | (yi << 1) | (r << 2))  # (y_i y_i | r_i)
-        h_top = 1 | (x << 2) if kind is ConstructionKind.I else 2 | (x << 2)
-        h_rows.append(h_top)  # (1 0 | x) for I, (0 1 | x) for IV
-        if k < n:
-            for j, s in enumerate(seed.parity_check().row_bits):
-                zj = z >> j & 1
-                h_rows.append(zj | (zj << 1) | (s << 2))  # (z_j z_j | s_j)
-    else:
-        gen_rows.append(3 | (x << 2))  # (1 1 | x)
-        for i, r in enumerate(seed.gen.row_bits):
-            gen_rows.append((y >> i & 1) | (r << 2))  # (y_i 0 | r_i)
-        h_rows.append(3 | (x << 2))  # (1 1 | x)
-        if k < n:
-            for j, s in enumerate(seed.parity_check().row_bits):
-                h_rows.append(((z >> j & 1) << 1) | (s << 2))  # (0 z_j | s_j)
+    x, y, z = ext.x.bits, ext.y.bits, ext.z.bits
+    g_top, g_body, h_top, h_body = _HEADS[kind]
+    rows, checks = seed.gen.row_bits, seed.parity_check().row_bits if k < n else ()
+    gen_rows = [g_top | x << 2] + [(y >> i & 1) * g_body | r << 2 for i, r in enumerate(rows)]
+    h_rows = [h_top | x << 2] + [(z >> j & 1) * h_body | s << 2 for j, s in enumerate(checks)]
     child = LinearCode(BitMatrix(n + 2, tuple(gen_rows)))
     if child.k != k + 1 or child.repaired:
         raise ClaimViolationError(f"construction {kind}: child rank {child.k}, not {k + 1}")

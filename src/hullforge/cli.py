@@ -32,11 +32,11 @@ from .errors import (
 from .gf2 import BitVector, mat_mul, rank, transpose
 from .search import (
     EXHAUSTIVE_CAP,
+    _check_sweep,
+    _sweep_chunks,
     are_equivalent,
     exhaustive_codes,
     format_claim,
-    format_sweep_record,
-    sweep_extensions,
 )
 
 EXIT_OK = 0
@@ -106,21 +106,13 @@ def cmd_extend(args) -> int:
 
 def cmd_sweep(args) -> int:
     code, mf = _load_code(args.file)
-    kinds = (
-        None
-        if not args.kinds
-        else [ConstructionKind(k) for k in args.kinds]
-    )
-    records = sweep_extensions(
-        code,
-        args.target_h,
-        min_d=args.min_d,
-        kinds=kinds,
-        seed_id=mf.label,
-    )
-    if records:
-        sys.stdout.write("\n".join(map(format_sweep_record, records)) + "\n")
-    print(f"# records: {len(records)}")
+    kinds = None if not args.kinds else [ConstructionKind(k) for k in args.kinds]
+    kinds, sid = _check_sweep(code, args.target_h, args.min_d, kinds, mf.label)
+    count = 0
+    for _, lines in _sweep_chunks(code, sid, args.target_h, args.min_d, kinds):
+        sys.stdout.write("\n".join(lines) + "\n")  # each chunk as it is rendered
+        count += len(lines)
+    sys.stdout.write(f"# records: {count}\n")
     return EXIT_OK
 
 

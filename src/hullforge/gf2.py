@@ -32,13 +32,10 @@ __all__ = [
 
 def bits_from01(s: str) -> int:
     """Pack a 01-string, leftmost char = coordinate 0 = bit 0."""
-    v = 0
-    for i, ch in enumerate(s):
-        if ch == "1":
-            v |= 1 << i
-        elif ch != "0":
-            raise ValueError(f"bad character {ch!r} in bit string")
-    return v
+    if s.strip("01"):  # empty exactly when every character is 0 or 1
+        bad = next(ch for ch in s if ch not in "01")
+        raise ValueError(f"bad character {bad!r} in bit string")
+    return int(s[::-1], 2) if s else 0
 
 
 def bits_to01(bits: int, n: int) -> str:

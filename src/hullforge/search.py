@@ -6,8 +6,9 @@ parameters.  The fast path reads every child's distance and hull from
 tables of the seed (_coset_scan: Walsh-Hadamard weight classes and
 min-plus coset leaders; _rank3_table), writes each kept child's RREF in
 closed form from the seed's RREF (_child_echelon), checks its shape and
-Gram-rank hull, and renders the records' lines in one NumPy pass, the
-records holding x and the rows packed until read.  Exhaustive search
+Gram-rank hull, and renders the lines one chunk at a time
+(_sweep_chunks): the CLI writes them as they come, the library keeps a
+record per line whose x and rows are read back from it.  Exhaustive search
 runs the codeword kernel of code._codeword_chunks over lanes of sorted
 free blocks; the census enumerates nothing, walking the congruence
 classes of I + AA^T one column of A at a time (_census_walk), and checks
@@ -19,7 +20,6 @@ codeword chunks.
 from __future__ import annotations
 
 import hashlib
-import struct
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
@@ -27,7 +27,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .buildup import ConstructionKind, _check_kind, construct, predicted_hull
+from .buildup import _HEADS, ConstructionKind, _check_kind, construct, predicted_hull
 from .code import CHUNK_BITS, LinearCode, _codeword_chunks, _limbs, _min_plus_pass, _weights
 from .errors import ClaimViolationError, DimensionError, ResourceLimitError, UsageError
 from .gf2 import BitMatrix, BitVector, dot, gram, transpose
@@ -68,7 +68,7 @@ class SweepRecord:
     the fast path rendered it, else None; it adds nothing to the other
     fields, so equality, hashing and repr leave it out, and a line that is
     not the fields' rendering (as after replace()) is dropped.  Fast-path
-    records build x and canonical_gen from packed ints on first access."""
+    records read x and canonical_gen back from their line on first access."""
 
     seed_id: str
     x: BitVector
@@ -82,22 +82,20 @@ class SweepRecord:
             object.__setattr__(self, "line", None)
 
     @classmethod
-    def _lazy(cls, sid, kind, params, line, packed):
-        """A record without __init__: packed = (n, x, rows), x an int and
-        rows the child's rows as big-endian uint32 bytes, stands in for x
-        and canonical_gen (bytes compare as the row tuples do)."""
+    def _lazy(cls, sid, kind, params, line):
+        """A record without __init__, x and canonical_gen left to its line."""
         rec = object.__new__(cls)
         object.__setattr__(rec, "__dict__", {
-            "seed_id": sid, "kind": kind, "child_params": params, "line": line, "_packed": packed,
+            "seed_id": sid, "kind": kind, "child_params": params, "line": line,
         })
         return rec
 
     def __getattr__(self, name):  # only for names missing from the instance
-        if name not in ("x", "canonical_gen") or "_packed" not in vars(self):
+        line = vars(self).get("line")
+        if name not in ("x", "canonical_gen") or line is None:
             raise AttributeError(f"'SweepRecord' object has no attribute {name!r}")
-        n, x, rows = self._packed
-        rows = struct.unpack(f">{len(rows) // 4}I", rows)
-        value = BitVector(n, x) if name == "x" else BitMatrix(n + 2, rows)
+        _, x, *_, rows = line.rsplit(" ", 7)  # from the right: a seed id may hold spaces
+        value = BitVector.from01(x) if name == "x" else BitMatrix.from_strings(rows.split(","))
         object.__setattr__(self, name, value)
         return value
 
@@ -354,11 +352,11 @@ def _kept_children(seed: LinearCode, target_h: int, min_d: int, kinds):
     for kind in kinds:
         i = _KIND_ORDER[kind]
         if kind is ConstructionKind.III or target_h in predicted_hull(kind, ell):
-            keep[:, i] = applicable[i] & ((d10, d11, d11, d10)[i] >= min_d)
+            d = (d10, d11)[_HEADS[kind][0] >> 1]  # d under top row (1 0 | x) or (1 1 | x)
+            keep[:, i] = applicable[i] & (d >= min_d)
     xs, ks = np.nonzero(keep)  # x ascending, then kind
-    # (1 0 | x) over (y_i y_i | r_i) for I/IV, (1 1 | x) over (y_i 0 | r_i) for II/III
-    split = ((ks == 1) | (ks == 2)).astype(np.uint32)
-    top, body = xs.astype(np.uint32) << 2 | 1 | split << 1, 3 - 2 * split
+    heads = np.array([_HEADS[kind][:2] for kind in _KINDS], dtype=np.uint32)[ks]
+    top, body = heads[:, 0] | xs.astype(np.uint32) << 2, heads[:, 1]
     echelon = _child_echelon(seed.canonical_gen().row_bits, xs, ypack[xs], top, body)
     low = echelon & (~echelon + 1)  # each row's pivot bit
     found = np.bitwise_or.reduce(low, axis=1)
@@ -384,28 +382,30 @@ def _kept_children(seed: LinearCode, target_h: int, min_d: int, kinds):
         msg = f"{rank} (want {k + 1}), hull {hull[at]} (kernel {target_h}, predicted"
         msg += f" {sorted(predicted_hull(kind, ell))})"
         raise ClaimViolationError(f"sweep child {kind} at x={xs[at]}: {msg}")
-    ds = np.where(split, d11[xs], d10[xs])
+    ds = np.where(top & 2, d11[xs], d10[xs])  # top row (1 1 | x) or (1 0 | x)
     return xs, ks, ds, echelon
 
 
-def _sweep_records(seed: LinearCode, sid: str, target_h: int, min_d: int, kinds) -> list:
-    """Fast-path records with their lines, a chunk at a time so that the
-    kernel's arrays are freed and one chunk's text is alive at once."""
-    n, k = seed.n, seed.k
+def _sweep_chunks(seed: LinearCode, sid: str, target_h: int, min_d: int, kinds):
+    """The fast path's output, RENDER_CHUNK records at a time: each
+    record's (kind index, d) and its line.  The kernel's arrays are freed
+    and every check of _kept_children has passed before the first chunk,
+    and one chunk's text is alive at once."""
     xs, ks, ds, canon = _kept_children(seed, target_h, min_d, kinds)
-    params = {d: (n + 2, k + 1, d, target_h) for d in set(ds.tolist())}
-    records = []
     for s in range(0, len(xs), RENDER_CHUNK):
         part = slice(s, s + RENDER_CHUNK)
         keys = list(zip(ks[part].tolist(), ds[part].tolist()))
-        lines = _render_lines(sid, n, target_h, xs[part], keys, canon[part])
-        blob, width = canon[part].astype(">u4").tobytes(), 4 * (k + 1)
-        rows = [blob[at : at + width] for at in range(0, len(blob), width)]
-        records += [
-            SweepRecord._lazy(sid, _KINDS[i], params[d], line, (n, x, r))
-            for x, (i, d), r, line in zip(xs[part].tolist(), keys, rows, lines)
-        ]
-    return records
+        yield keys, _render_lines(sid, seed.n, target_h, xs[part], keys, canon[part])
+
+
+def _sweep_records(seed: LinearCode, sid: str, target_h: int, min_d: int, kinds) -> list:
+    """Fast-path records, one per line of _sweep_chunks."""
+    params = [(seed.n + 2, seed.k + 1, d, target_h) for d in range(seed.n + 3)]
+    return [
+        SweepRecord._lazy(sid, _KINDS[i], params[d], line)
+        for keys, lines in _sweep_chunks(seed, sid, target_h, min_d, kinds)
+        for (i, d), line in zip(keys, lines)
+    ]
 
 
 def _bit_text(words: np.ndarray, width: int) -> np.ndarray:
@@ -436,6 +436,18 @@ def _render_lines(sid: str, n: int, h: int, xs, keys: list, canon) -> list[str]:
     ]
 
 
+def _check_sweep(seed: LinearCode, target_h, min_d, kinds, seed_id, engine="auto"):
+    """A sweep's checks, in order: sizes, caps, engine, kinds.  Returns
+    the kinds, once each in kind order, and the seed id."""
+    _check_sizes(target_h=target_h, min_d=min_d)
+    _check_sweep_cap(seed)
+    if engine not in ("auto", "reference"):
+        raise UsageError(f"unknown engine {engine!r}")
+    kinds = _KINDS if kinds is None else tuple(map(_check_kind, kinds))
+    kinds = tuple(sorted(set(kinds), key=_KIND_ORDER.get))
+    return kinds, seed_id if seed_id is not None else _seed_id(seed)
+
+
 def sweep_extensions(
     seed: LinearCode,
     target_h: int,
@@ -451,18 +463,11 @@ def sweep_extensions(
     child has hull dimension target_h and distance at least min_d.
     Order is deterministic: x ascending as an integer, then kind.
     """
-    _check_sizes(target_h=target_h, min_d=min_d)
-    _check_sweep_cap(seed)
-    if engine not in ("auto", "reference"):
-        raise UsageError(f"unknown engine {engine!r}")
-    kinds = tuple(ConstructionKind) if kinds is None else tuple(map(_check_kind, kinds))
-    kinds = tuple(sorted(set(kinds), key=_KIND_ORDER.get))
-    sid = seed_id if seed_id is not None else _seed_id(seed)
-    n, k = seed.n, seed.k
-
+    kinds, sid = _check_sweep(seed, target_h, min_d, kinds, seed_id, engine)
     if engine == "auto":
         return _sweep_records(seed, sid, target_h, min_d, kinds)
 
+    n, k = seed.n, seed.k
     records = []
     for xbits in range(1 << n):
         x = BitVector(n, xbits)
@@ -508,21 +513,26 @@ def best_by_sweep(
     if len(dims) != 1:
         raise UsageError(f"seeds must share (n, k); got {sorted(dims)}")
     n, k = dims.pop()
-    kinds = None if kinds is None else tuple(map(_check_kind, kinds))
+    kinds = _KINDS if kinds is None else tuple(map(_check_kind, kinds))
 
-    best_d, best = 0, None
+    best_d, best = 0, None  # best: the witness's echelon rows
     for seed in seeds:
-        for rec in sweep_extensions(seed, target_h, min_d=max(best_d, 1), kinds=kinds):
-            d, rows = rec.child_params[2], rec._packed[2]  # fast-path rows, still bytes
-            if d > best_d or (d == best_d and best is not None and rows < best._packed[2]):
-                best_d, best = d, rec
+        _check_sweep_cap(seed)
+        _, _, ds, canon = _kept_children(seed, target_h, max(best_d, 1), kinds)
+        if not len(ds):
+            continue
+        d = int(ds.max())
+        tied = canon[ds == d]
+        least = tuple(tied[np.lexsort(tied.T[::-1])[0]].tolist())  # row 0 most significant
+        if d > best_d or least < best:
+            best_d, best = d, least
     return OptimalityClaim(
         n=n + 2,
         k=k + 1,
         h=target_h,
         d_best=best_d,
         status="lower_bound",
-        witness=None if best is None else best.canonical_gen,
+        witness=None if best is None else BitMatrix(n + 2, best),
         method="sweep",
     )
 
@@ -532,9 +542,9 @@ def best_by_sweep(
 
 def _check_sizes(**sizes) -> None:
     """Refuse a size that is not an integer, or is negative, once per call;
-    d_floor may also be None."""
+    d_floor and cap may also be None."""
     for name, value in sizes.items():
-        if name == "d_floor" and value is None:
+        if value is None and name in ("d_floor", "cap"):
             continue
         if not hasattr(value, "__index__") or value < 0:
             raise UsageError(f"{name} must be a non-negative integer, got {value!r}")
@@ -568,7 +578,7 @@ def iter_exhaustive(n: int, k: int, h: int, cap: int | None = None) -> Iterator[
     ranges over all [n, k] codes, and hull dimension and distance are
     permutation-invariant.
     """
-    _check_sizes(n=n, k=k, h=h)
+    _check_sizes(n=n, k=k, h=h, cap=cap)
     _check_exhaustive_cap(n, k, cap)
     m = n - k
     for candidate in range(1 << (k * m)):
@@ -790,7 +800,7 @@ def hull_census(n: int, k: int, cap: int | None = None) -> dict[int, int]:
     Exact, by _census_walk, enumerating no lane; refused, in the same
     order, wherever exhaustive_codes would be: sizes, the k(n-k) cap,
     lanes past 64 bits, min(k, n-k) past the rank table's cap."""
-    _check_sizes(n=n, k=k)
+    _check_sizes(n=n, k=k, cap=cap)
     _check_exhaustive_cap(n, k, cap)
     k, m = int(k), int(n - k)
     _by_columns(k, m)
@@ -818,7 +828,7 @@ def exhaustive_codes(
     code._codeword_chunks over the kept lanes, so the 2^k messages per
     lane fall under the enumeration cap.
     """
-    _check_sizes(n=n, k=k, h=h, d_floor=d_floor)
+    _check_sizes(n=n, k=k, h=h, d_floor=d_floor, cap=cap)
     _check_exhaustive_cap(n, k, cap)
     m = n - k
     if m == 0:

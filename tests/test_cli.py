@@ -22,6 +22,7 @@ H3 = data_root() / "h3"
 H0 = data_root() / "h0"
 SEED = str(H1 / "seed_10_6_3.txt")
 G3_12_7_4 = str(H3 / "G3_12_7_4.txt")
+G1_13_11_2 = str(H1 / "G1_13_11_2.txt")
 
 
 def run(capsys, *argv):
@@ -100,18 +101,89 @@ def test_sweep_output(capsys):
     assert [first[4], first[6], first[7]] == ["12", "3", "2"]
 
 
-def test_sweep_stdout_is_the_reference_lines(capsys):
-    seed = LinearCode(parse_matrix_file(Path(SEED).read_text()).matrix)
-    want = "".join(
+def _reference_lines(path, label, target_h, min_d):
+    seed = LinearCode(parse_matrix_file(Path(path).read_text()).matrix)
+    return "".join(
         search.format_sweep_record(r) + "\n"
-        for r in search.sweep_extensions(seed, 2, 3, seed_id="seed_10_6_3", engine="reference")
+        for r in search.sweep_extensions(seed, target_h, min_d, seed_id=label, engine="reference")
     )
+
+
+def test_sweep_stdout_is_the_reference_lines(capsys):
+    want = _reference_lines(SEED, "seed_10_6_3", 2, 3)
     rc, out = run(capsys, "sweep", SEED, "--target-h", "2", "--min-d", "3")
     assert rc == EXIT_OK
     assert out == want + "# records: 208\n"
     rc, out = run(capsys, "sweep", SEED, "--target-h", "2", "--min-d", "30")
     assert rc == EXIT_OK
     assert out == "# records: 0\n"
+    # 6,144 records, across chunk boundaries
+    want = _reference_lines(G1_13_11_2, "G1_13_11_2", 2, 1)
+    rc, out = run(capsys, "sweep", G1_13_11_2, "--target-h", "2")
+    assert rc == EXIT_OK
+    assert out == want + "# records: 6144\n"
+
+
+class _CountedWrites:
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("chunk", [1, 16, 207, 208, 1000])
+def test_sweep_writes_each_chunk_as_it_is_rendered(monkeypatch, chunk):
+    monkeypatch.setattr(search, "RENDER_CHUNK", chunk)
+    out = _CountedWrites()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["sweep", SEED, "--target-h", "2", "--min-d", "3"]) == EXIT_OK
+    full, rest = divmod(208, chunk)
+    assert len(out.writes) == -(-208 // chunk) + 1  # one write per chunk, then the count
+    assert [w.count("\n") for w in out.writes[:-1]] == [chunk] * full + [rest] * bool(rest)
+    assert out.writes[-1] == "# records: 208\n"
+    out.writes.clear()
+    assert main(["sweep", SEED, "--target-h", "2", "--min-d", "30"]) == EXIT_OK
+    assert out.writes == ["# records: 0\n"]
+
+
+LYING_KERNEL = """
+import sys
+import numpy as np
+from hullforge import cli, search
+
+real = search.sweep_children
+
+def lying(seed):  # the last III lane whose child's hull is not 2 is said to have hull 2
+    d10, d11, dc, h3, ypack, odd = real(seed)
+    h3 = h3.copy()
+    h3[np.flatnonzero(~odd & (ypack != 0) & (h3 != 2))[-1]] = 2
+    return d10, d11, dc, h3, ypack, odd
+
+search.sweep_children = lying
+search.RENDER_CHUNK = 4  # many chunks of good lines come before the bad lane
+sys.exit(cli.main(["sweep", sys.argv[1], "--target-h", "2"]))
+"""
+
+
+def test_streamed_sweep_writes_nothing_before_its_checks():
+    # the checks raise, so python -O keeps them, and they run before any line is written
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", LYING_KERNEL, SEED],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == EXIT_MISMATCH, proc.stderr
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: sweep child III at x=")
+    assert "(kernel 2, predicted" in lines[0]
 
 
 def test_sweep_kind_filter(capsys):
@@ -163,6 +235,12 @@ def test_exhaustive_over_raised_cap(capsys):
     rc = main(["exhaustive", "--n", "11", "--k", "5", "--h", "1", "--cap", "29"])
     assert rc == EXIT_LIMIT
     assert "k(n-k) = 30 exceeds enumeration cap 29" in capsys.readouterr().err
+
+
+def test_exhaustive_negative_cap_is_a_usage_error(capsys):
+    rc = main(["exhaustive", "--n", "5", "--k", "2", "--h", "1", "--cap", "-1"])
+    assert rc == EXIT_USAGE
+    assert capsys.readouterr().err == "error: cap must be a non-negative integer, got -1\n"
 
 
 def test_eaqecc_output(capsys):

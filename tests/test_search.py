@@ -17,7 +17,6 @@ import pickle
 import random
 import subprocess
 import sys
-import struct
 import time
 import unittest.mock
 from math import comb
@@ -459,6 +458,21 @@ def test_best_by_sweep_keeps_the_least_tied_generator(seeds, lift):
         assert claim.witness is None
 
 
+def test_best_by_sweep_builds_no_record(entries, monkeypatch):
+    # the claim comes from the kernel arrays: no record is built, no line rendered
+    seeds = [entries[label].code() for label in ("G1_12_7_4", "G2_12_7_3")]
+    want = [best_by_sweep(seeds, h) for h in range(4)]
+
+    def refuse(*args):
+        raise AssertionError("best_by_sweep built a record or rendered a line")
+
+    monkeypatch.setattr(SweepRecord, "_lazy", refuse)
+    monkeypatch.setattr(search, "_render_lines", refuse)
+    with pytest.raises(AssertionError):
+        sweep_extensions(seeds[0], want[1].h)
+    assert [best_by_sweep(seeds, h) for h in range(4)] == want
+
+
 def test_best_by_sweep_rejects_mixed_seeds(entries):
     with pytest.raises(UsageError):
         best_by_sweep([REP2, entries["D0_5_2_2"].code()], 1)
@@ -470,10 +484,13 @@ def test_best_by_sweep_rejects_mixed_seeds(entries):
 
 
 def _pure_census(n, k):
-    counts = collections.Counter()
-    for h in range(min(k, n - k) + 1):
-        counts[h] = sum(1 for _ in iter_exhaustive(n, k, h))
-    return {h: c for h, c in counts.items() if c}
+    """hull_dim() of every systematic generator, in one pass over the blocks."""
+    m = n - k
+    counts = collections.Counter(
+        LinearCode(BitMatrix(n, search._candidate_rows(block, k, m))).hull_dim()
+        for block in range(1 << (k * m))
+    )
+    return dict(counts)
 
 
 @pytest.mark.parametrize(
@@ -656,6 +673,14 @@ def test_exhaustive_matches_reference(h):
         lambda: exhaustive_codes(12, 6, 1, d_floor="2"),
         lambda: sweep_extensions(LinearCode(BitMatrix.from_strings(["1" * 21])), 1, min_d="3"),
         lambda: best_by_sweep([], 1.5),
+        lambda: exhaustive_codes(5, 2, 1, cap="9"),
+        lambda: exhaustive_codes(5, 2, 1, cap=-1),
+        lambda: exhaustive_codes(5, 2, 1, cap=2.5),
+        lambda: list(iter_exhaustive(4, 2, 1, cap="9")),
+        lambda: list(iter_exhaustive(4, 2, 1, cap=-1)),
+        lambda: hull_census(5, 2, cap="9"),
+        lambda: hull_census(5, 2, cap=-1),
+        lambda: hull_census(5, 2, cap=2.5),
     ],
 )
 def test_sizes_must_be_non_negative_integers(call):
@@ -1362,17 +1387,21 @@ def test_fast_records_match_reference_records(seed, kinds):
                 assert a2 == r2 and format_sweep_record(a2) == format_sweep_record(r2)
 
 
-def test_packed_fields_are_validated_when_built():
+def test_line_fields_are_validated_when_built():
+    # a fast-path record reads x and canonical_gen back from its line, through
+    # the validating parsers, when each is first read
     kind = ConstructionKind.I
-    rows = struct.pack(">2I", 0b0101, 0b1010)  # big-endian uint32 rows, as the sweep packs them
-    rec = SweepRecord._lazy("s", kind, (4, 2, 2, 2), None, (2, 0b100, rows))
-    with pytest.raises(DimensionError):
+    rec = SweepRecord._lazy("s t", kind, (4, 2, 2, 2), "SWEEP s t 1x I 4 2 2 2 1010,0101")
+    with pytest.raises(ValueError, match="bad character 'x'"):
         rec.x
     assert rec.canonical_gen == BitMatrix(4, (0b0101, 0b1010))
-    rec = SweepRecord._lazy("s", kind, (4, 2, 2, 2), None, (2, 0b10, struct.pack(">I", 0b10000)))
-    with pytest.raises(DimensionError):
+    rec = SweepRecord._lazy("s", kind, (4, 2, 2, 2), "SWEEP s 01 I 4 2 2 2 1010,010")
+    with pytest.raises(DimensionError, match="ragged"):
         rec.canonical_gen
     assert rec.x == BitVector(2, 0b10)
+    rec = SweepRecord._lazy("s", kind, (4, 2, 2, 2), "SWEEP s 01 I 4 2 2 2 1010,01z1")
+    with pytest.raises(ValueError, match="bad character 'z'"):
+        rec.canonical_gen
 
 
 def test_sweep_builds_record_fields_lazily(entries, monkeypatch):
