@@ -10,10 +10,6 @@ from .buildup import (
     admissible_distances,
     classify_extension,
     construct,
-    construct_I,
-    construct_II,
-    construct_III,
-    construct_IV,
     predict_distance,
 )
 from .code import (
@@ -22,7 +18,6 @@ from .code import (
     LinearCode,
     WeightDistribution,
     enumeration_cap,
-    from_generator,
 )
 from .corpus import (
     ComparisonRow,

@@ -8,11 +8,11 @@ and by the derived vector y (y_i = x · r_i over the generator rows):
   III x·x = 0, y != 0    child hull in {l, l+1, l+2}
   IV  x·x = 0 (explicit) child hull l
 
-Each construction prepends two coordinates and one generator row, and
-carries an explicit parity-check matrix for the child.  II and III are
-the same matrix shape; they are kept apart because they predict
-different hull dimensions, and construct() checks the split, as it
-checks x·x, before _assemble writes the rows.
+construct(c, x, kind) builds all four: it prepends two coordinates and
+one generator row, and carries an explicit parity-check matrix for the
+child.  II and III are the same matrix shape; they are kept apart
+because they predict different hull dimensions, and construct() checks
+the split, as it checks x·x, before _assemble writes the rows.
 """
 
 from __future__ import annotations
@@ -38,10 +38,6 @@ __all__ = [
     "ExtensionVector",
     "BuildResult",
     "DistancePrediction",
-    "construct_I",
-    "construct_II",
-    "construct_III",
-    "construct_IV",
     "construct",
     "classify_extension",
     "predict_distance",
@@ -208,7 +204,7 @@ def _assemble(seed: LinearCode, ext: ExtensionVector, kind: ConstructionKind) ->
     gen_rows = [g_top | x << 2] + [(y >> i & 1) * g_body | r << 2 for i, r in enumerate(rows)]
     h_rows = [h_top | x << 2] + [(z >> j & 1) * h_body | s << 2 for j, s in enumerate(checks)]
     child = LinearCode(BitMatrix(n + 2, tuple(gen_rows)))
-    if child.k != k + 1 or child.repaired:
+    if child.k != k + 1:  # k + 1 rows: rank k + 1 means none was dropped
         raise ClaimViolationError(f"construction {kind}: child rank {child.k}, not {k + 1}")
     return BuildResult(
         seed=seed,
@@ -239,26 +235,6 @@ def construct(c: LinearCode, x: BitVector, kind: ConstructionKind) -> BuildResul
             "x is orthogonal to the code (y = 0); use construction II"
         )
     return _assemble(c, ext, kind)
-
-
-def construct_I(c: LinearCode, x: BitVector) -> BuildResult:
-    """Odd x: child hull is exactly l+1."""
-    return construct(c, x, ConstructionKind.I)
-
-
-def construct_II(c: LinearCode, x: BitVector) -> BuildResult:
-    """Even x orthogonal to the whole code: child hull is exactly l+1."""
-    return construct(c, x, ConstructionKind.II)
-
-
-def construct_III(c: LinearCode, x: BitVector) -> BuildResult:
-    """Even x not orthogonal to the code: hull moves within {l, l+1, l+2}."""
-    return construct(c, x, ConstructionKind.III)
-
-
-def construct_IV(c: LinearCode, x: BitVector) -> BuildResult:
-    """Even x with the alternative head column: child hull stays at l."""
-    return construct(c, x, ConstructionKind.IV)
 
 
 def classify_extension(c: LinearCode, x: BitVector) -> ConstructionKind:

@@ -355,6 +355,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if [] in vars(args).values():  # argparse reads "--opt=--" as no value at all
+            raise UsageError("an option was given '--' as its value")
         status = args.func(args)
         sys.stdout.flush()  # a reader that closed the pipe shows here, not at exit
         return status

@@ -42,7 +42,7 @@ __all__ = [
     "HullReport",
     "WeightDistribution",
     "CosetWeightProfile",
-    "from_generator",
+    "enumeration_cap",
     "DEFAULT_MAX_K",
     "SYNDROME_CAP",
 ]
@@ -170,7 +170,7 @@ def _min_plus_pass(cube: np.ndarray, axes: tuple[int, ...]) -> None:
 class LinearCode:
     """An [n, k] binary linear code held by a full-rank generator matrix."""
 
-    def __init__(self, gen: BitMatrix, *, repaired: bool = False):
+    def __init__(self, gen: BitMatrix):
         rows = []
         span = gf2._Span()
         for b in gen.row_bits:
@@ -178,13 +178,12 @@ class LinearCode:
                 rows.append(b)
         if not rows:
             raise InvalidCodeError("generator has rank 0")
-        if len(rows) != gen.nrows:
-            repaired = True
+        self.repaired = len(rows) != gen.nrows  # dependent rows were dropped
+        if self.repaired:
             gen = BitMatrix(gen.ncols, tuple(rows))
         self.gen = gen
         self.n = gen.ncols
         self.k = gen.nrows
-        self.repaired = repaired
 
     # --- construction helpers -------------------------------------------
 
@@ -302,7 +301,7 @@ class LinearCode:
         leader = int.from_bytes(leader.astype("<u8").tobytes(), "little")
         return CosetWeightProfile(x=x, min_weight=best, leader=BitVector(self.n, leader))
 
-    def covering_radius(self, *, cap: int = SYNDROME_CAP) -> int:
+    def covering_radius(self) -> int:
         """Largest coset-leader weight over the 2^(n-k) syndromes.
 
         One min-plus pass per distinct nonzero column of H is exact: the
@@ -311,10 +310,10 @@ class LinearCode:
         r = self.n - self.k
         if r == 0:
             return 0
-        if r > cap:
+        if r > SYNDROME_CAP:
             raise ResourceLimitError(
-                f"syndrome table of 2^{r} entries exceeds cap n-k <= {cap}",
-                limit=cap, requested=r,
+                f"syndrome table of 2^{r} entries exceeds cap n-k <= {SYNDROME_CAP}",
+                limit=SYNDROME_CAP, requested=r,
             )
         # a leader weighs at most rank H <= r, so r + 1 marks the unreached
         # and r + 2 still fits in uint8 (n + 1 would wrap from n = 255)
@@ -345,10 +344,3 @@ class LinearCode:
         rows = [1 | (v.bits << 1)]
         rows += [b << 1 for b in self.gen.row_bits]
         return LinearCode(BitMatrix(self.n + 1, tuple(rows)))
-
-
-def from_generator(rows: BitMatrix) -> LinearCode:
-    """Build a code from a (possibly rank-deficient) generator matrix."""
-    if rows.nrows == 0:
-        raise InvalidCodeError("empty generator")
-    return LinearCode(rows)

@@ -371,6 +371,24 @@ def load_quarantine(root: Path | None = None) -> list[QuarantinedEntry]:
     return out
 
 
+def _records(path: Path, nfields: int, nints: int) -> Iterable[tuple[int, list]]:
+    """(line number, fields) of each record line of a table file, the first
+    nints fields read as integers; blank and # lines are skipped."""
+    for lineno, line in _split_lines(read_text(path)):
+        parts = line.split()
+        if not parts or parts[0].startswith("#"):
+            continue
+        if len(parts) != nfields:
+            raise CorpusFormatError(
+                f"{path}: expected {nfields} fields, got {len(parts)}", line=lineno
+            )
+        try:
+            nums = [int(p) for p in parts[:nints]]
+        except ValueError:
+            raise CorpusFormatError(f"{path}: non-integer field", line=lineno) from None
+        yield lineno, nums + parts[nints:]
+
+
 def _parse_marks(tokens: str, where: str, lineno: int) -> frozenset:
     if tokens == "-":
         return frozenset()
@@ -395,17 +413,7 @@ def load_tables(root: Path | None = None) -> list[TableCell]:
     cells = []
     for table_id in TABLE_IDS:
         path = root / "tables" / f"{table_id.lower()}.txt"
-        for lineno, line in _split_lines(read_text(path)):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            parts = stripped.split()
-            if len(parts) != 7:
-                raise CorpusFormatError(
-                    f"{path}: expected 7 fields, got {len(parts)}", line=lineno
-                )
-            n, k, d = (int(p) for p in parts[:3])
-            bound = parts[3]
+        for lineno, (n, k, d, bound, marks, optimal, note) in _records(path, 7, 3):
             if bound not in ("=", ">="):
                 raise CorpusFormatError(
                     f"{path}: bad bound field {bound!r}", line=lineno
@@ -419,9 +427,9 @@ def load_tables(root: Path | None = None) -> list[TableCell]:
                     k=k,
                     d=d,
                     exact=(bound == "="),
-                    construction_marks=_parse_marks(parts[4], str(path), lineno),
-                    optimal_mark=(parts[5] == "o"),
-                    note="" if parts[6] == "-" else parts[6],
+                    construction_marks=_parse_marks(marks, str(path), lineno),
+                    optimal_mark=(optimal == "o"),
+                    note="" if note == "-" else note,
                 )
             )
     return cells
@@ -436,23 +444,14 @@ def load_comparison(root: Path | None = None) -> list[ComparisonRow]:
     root = root if root is not None else data_root()
     path = root / "tables" / "t11.txt"
     rows = []
-    for lineno, line in _split_lines(read_text(path)):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        parts = stripped.split()
-        if len(parts) != 11:
-            raise CorpusFormatError(
-                f"{path}: expected 11 fields, got {len(parts)}", line=lineno
-            )
-        nums = [int(p) for p in parts[:9]]
+    for _, fields in _records(path, 11, 9):
         rows.append(
             ComparisonRow(
-                row=nums[0],
-                known=tuple(nums[1:5]),
-                ours=tuple(nums[5:9]),
-                bold=(parts[9] == "bold"),
-                source_table=parts[10],
+                row=fields[0],
+                known=tuple(fields[1:5]),
+                ours=tuple(fields[5:9]),
+                bold=(fields[9] == "bold"),
+                source_table=fields[10],
             )
         )
     return rows

@@ -3,13 +3,14 @@
 A classical [n, k] code whose hull has dimension h yields the parameter
 sets [[n, k-h, d; n-k-h]] and [[n, n-k-h, d'; k-h]], where d and d' are
 the distances of the code and its dual.  This module is bookkeeping for
-those parameter sets and the quantum Singleton bound; it does not build
-encoders.
+those parameter sets and the quantum Singleton bound; a set holds only
+n, k, d and c, and its MDS and degenerate flags are derived from them.
+It does not build encoders.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .code import LinearCode
@@ -35,15 +36,14 @@ class EaqeccParams:
 
     A degenerate set has k = 0 and no real quantum distance; d then
     records the underlying classical distance so that tables can still
-    print the column, and the flag marks it as bookkeeping only.
+    print the column.  degenerate (k = 0) and is_mds (a zero Singleton
+    gap) are read from the four fields, never stored.
     """
 
     n: int
     k: int
     d: int
     c: int
-    is_mds: bool = field(default=None)  # type: ignore[assignment]
-    degenerate: bool = False
 
     def __post_init__(self):
         if self.k < 0:
@@ -52,13 +52,14 @@ class EaqeccParams:
             raise UsageError(f"distance must be positive, got {self.d}")
         if not 0 <= self.c <= self.n - 1:
             raise UsageError(f"ebit count {self.c} outside [0, {self.n - 1}]")
-        if self.degenerate and self.k != 0:
-            raise UsageError("degenerate parameter sets have k = 0")
-        mds = singleton_gap(self) == 0
-        if self.is_mds is None:
-            object.__setattr__(self, "is_mds", mds)
-        elif self.is_mds != mds:
-            raise UsageError(f"is_mds={self.is_mds} contradicts the Singleton gap")
+
+    @property
+    def is_mds(self) -> bool:
+        return singleton_gap(self) == 0
+
+    @property
+    def degenerate(self) -> bool:
+        return self.k == 0
 
     def __str__(self) -> str:
         return f"[[{self.n},{self.k},{self.d};{self.c}]]"
@@ -99,13 +100,11 @@ def derive(code: LinearCode) -> DerivationPair:
     d = code.min_distance()
     if h > n - k:  # the hull lies inside the dual, so this holds for every code
         raise ClaimViolationError(f"[{n},{k}] code with hull dimension {h} > n - k")
-    primal = EaqeccParams(n, k - h, d, n - k - h, degenerate=(k - h == 0))
+    primal = EaqeccParams(n, k - h, d, n - k - h)
     if k == n:
         return DerivationPair(primal, None, note="full-space code has no dual")
     d_dual = code.dual().min_distance()
-    dual_side = EaqeccParams(
-        n, n - k - h, d_dual, k - h, degenerate=(n - k - h == 0)
-    )
+    dual_side = EaqeccParams(n, n - k - h, d_dual, k - h)
     return DerivationPair(primal, dual_side)
 
 

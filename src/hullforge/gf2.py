@@ -122,10 +122,6 @@ class BitVector:
     def from01(cls, s: str) -> "BitVector":
         return cls(len(s), bits_from01(s))
 
-    @classmethod
-    def zero(cls, n: int) -> "BitVector":
-        return cls(n, 0)
-
     def __len__(self) -> int:
         return self.len
 
@@ -191,11 +187,6 @@ class BitMatrix:
 
     def row(self, i: int) -> BitVector:
         return BitVector(self.ncols, self.row_bits[i])
-
-    def entry(self, i: int, j: int) -> int:
-        if not 0 <= j < self.ncols:
-            raise IndexError(j)
-        return self.row_bits[i] >> j & 1
 
     def to_strings(self) -> list[str]:
         if not self.ncols:

@@ -27,10 +27,12 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .buildup import _HEADS, ConstructionKind, _check_kind, construct, predicted_hull
+from .buildup import (
+    _HEADS, ConstructionKind, _check_kind, classify_extension, construct, predicted_hull
+)
 from .code import CHUNK_BITS, LinearCode, _codeword_chunks, _limbs, _min_plus_pass, _weights
 from .errors import ClaimViolationError, DimensionError, ResourceLimitError, UsageError
-from .gf2 import BitMatrix, BitVector, dot, gram, transpose
+from .gf2 import BitMatrix, BitVector, gram, transpose
 
 __all__ = [
     "SweepRecord",
@@ -144,16 +146,6 @@ def _seed_id(seed: LinearCode) -> str:
 
 
 # --------------------------------------------------------------------- sweep
-
-
-def _applicable(kind: ConstructionKind, odd: bool, y_zero: bool) -> bool:
-    if kind is ConstructionKind.I:
-        return odd
-    if kind is ConstructionKind.II:
-        return not odd and y_zero
-    if kind is ConstructionKind.III:
-        return not odd and not y_zero
-    return not odd  # IV
 
 
 def _check_sweep_cap(seed: LinearCode) -> None:
@@ -471,11 +463,11 @@ def sweep_extensions(
     records = []
     for xbits in range(1 << n):
         x = BitVector(n, xbits)
-        is_odd = dot(x, x) == 1
-        y_zero = all(dot(x, r) == 0 for r in seed.canonical_gen().rows)
+        auto = classify_extension(seed, x)
+        even = auto is not ConstructionKind.I
         for kind in kinds:
-            if not _applicable(kind, is_odd, y_zero):
-                continue
+            if kind is not auto and not (even and kind is ConstructionKind.IV):
+                continue  # IV takes every even x, as II and III do
             child = construct(seed, x, kind).child
             if child.hull_dim() != target_h:
                 continue
@@ -554,11 +546,11 @@ def _check_exhaustive_cap(n: int, k: int, cap: int | None) -> int:
     if not 1 <= k <= n:
         raise UsageError(f"bad dimensions [{n},{k}]")
     cap = EXHAUSTIVE_CAP if cap is None else cap
-    if k * (n - k) > cap:
-        raise ResourceLimitError(
-            f"k(n-k) = {k * (n - k)} exceeds enumeration cap {cap}",
-            limit=cap, requested=k * (n - k),
-        )
+    size = k * max(n - k, 1)  # the full space [n, n] still writes n rows
+    if size > cap:
+        what = f"k(n-k) = {size}" if k < n else f"k = {k} for the [{n},{n}] full space"
+        msg = f"{what} exceeds enumeration cap {cap}"
+        raise ResourceLimitError(msg, limit=cap, requested=size)
     return cap
 
 

@@ -19,14 +19,10 @@ from hullforge.buildup import (
     admissible_distances,
     classify_extension,
     construct,
-    construct_I,
-    construct_II,
-    construct_III,
-    construct_IV,
     predict_distance,
     predicted_hull,
 )
-from hullforge.code import LinearCode, from_generator
+from hullforge.code import LinearCode
 from hullforge.errors import (
     ClaimViolationError,
     UsageError,
@@ -111,7 +107,7 @@ def test_extension_vector_derivation(seed):
 
 
 def test_worked_example_one(seed):
-    res = construct_III(seed, BitVector.from01("0000011000"))
+    res = construct(seed, BitVector.from01("0000011000"), ConstructionKind.III)
     assert res.child.gen == BitMatrix.from_strings(CPRIME_BUILT)
     assert (res.child.n, res.child.k) == (12, 7)
     assert res.actual_hull == 2
@@ -122,14 +118,14 @@ def test_worked_example_one(seed):
 def test_worked_example_two_as_printed(seed):
     # the printed lengthening vector of the second worked example gives a
     # [12,7,2] code; the accompanying [12,7,4] needs x = all-ones (below)
-    res = construct_III(seed, BitVector.from01("1111110011"))
+    res = construct(seed, BitVector.from01("1111110011"), ConstructionKind.III)
     assert res.actual_hull == 3
     assert res.actual_distance == 2
     _check_parity_relation(res)
 
 
 def test_worked_example_two_corrected(seed):
-    res = construct_III(seed, BitVector.from01("1111111111"))
+    res = construct(seed, BitVector.from01("1111111111"), ConstructionKind.III)
     assert res.actual_hull == 3
     assert res.actual_distance == 4
     target = LinearCode.from_strings(C12_7_4_STD)
@@ -139,7 +135,7 @@ def test_worked_example_two_corrected(seed):
 
 def test_classify(seed):
     assert classify_extension(seed, BitVector.from01("0000011000")) is ConstructionKind.III
-    assert classify_extension(seed, BitVector.zero(10)) is ConstructionKind.II
+    assert classify_extension(seed, BitVector(10, 0)) is ConstructionKind.II
     assert classify_extension(seed, BitVector.from01("1000000000")) is ConstructionKind.I
     assert classify_extension(seed, BitVector.from01("1111111111")) is ConstructionKind.III
 
@@ -150,18 +146,18 @@ def test_construct_I_hull_is_forced(seed):
         bits = rng.getrandbits(10)
         if bits.bit_count() % 2 == 0:
             bits ^= 1
-        res = construct_I(seed, BitVector(10, bits))
+        res = construct(seed, BitVector(10, bits), ConstructionKind.I)
         assert res.actual_hull == 2
         assert res.predicted_hull == {2}
         assert (res.child.n, res.child.k) == (12, 7)
     with pytest.raises(WrongParityError):
-        construct_I(seed, BitVector.from01("1100000000"))
+        construct(seed, BitVector.from01("1100000000"), ConstructionKind.I)
 
 
 def test_construct_I_self_dual_seed():
     b12 = LinearCode.from_strings(B12)
     assert b12.hull().is_self_dual
-    res = construct_I(b12, BitVector.from01("100000000000"))
+    res = construct(b12, BitVector.from01("100000000000"), ConstructionKind.I)
     assert res.child.hull().is_self_dual
     assert (res.child.n, res.child.k) == (14, 7)
     assert res.actual_hull == 7
@@ -169,7 +165,7 @@ def test_construct_I_self_dual_seed():
 
 
 def test_construct_II_zero_vector(seed):
-    res = construct_II(seed, BitVector.zero(10))
+    res = construct(seed, BitVector(10, 0), ConstructionKind.II)
     assert res.actual_hull == 2
     assert res.coset_weight == 0
     assert res.distance_prediction == {2}
@@ -181,7 +177,7 @@ def test_construct_II_on_hamming_dual_codeword():
     ham = LinearCode.from_strings(HAMMING_7_4)
     s = ham.parity_check().row(0)
     assert s.weight() % 2 == 0
-    res = construct_II(ham, s)
+    res = construct(ham, s, ConstructionKind.II)
     assert (res.child.n, res.child.k) == (9, 5)
     assert res.actual_hull == 4
     _check_parity_relation(res)
@@ -189,29 +185,30 @@ def test_construct_II_on_hamming_dual_codeword():
 
 def test_construct_II_dispatch_errors(seed):
     with pytest.raises(WrongParityError):
-        construct_II(seed, BitVector.from01("1000000000"))
+        construct(seed, BitVector.from01("1000000000"), ConstructionKind.II)
     with pytest.raises(WrongConstructionError):
-        construct_II(seed, BitVector.from01("0000011000"))
+        construct(seed, BitVector.from01("0000011000"), ConstructionKind.II)
     with pytest.raises(WrongConstructionError):
-        construct_III(seed, BitVector.zero(10))
+        construct(seed, BitVector(10, 0), ConstructionKind.III)
     with pytest.raises(WrongParityError):
-        construct_III(seed, BitVector.from01("1000000000"))
+        construct(seed, BitVector.from01("1000000000"), ConstructionKind.III)
     with pytest.raises(WrongParityError):
-        construct_IV(seed, BitVector.from01("1000000000"))
+        construct(seed, BitVector.from01("1000000000"), ConstructionKind.IV)
 
 
 def test_precondition_messages(seed):
-    odd, dual_word = BitVector.from01("1000000000"), BitVector.zero(10)
+    odd, dual_word = BitVector.from01("1000000000"), BitVector(10, 0)
     cases = [
-        (construct_I, dual_word, "construction I needs x·x = 1, got 0"),
-        (construct_IV, odd, "construction IV needs x·x = 0, got 1"),
-        (construct_II, BitVector.from01("0000011000"),
+        (ConstructionKind.I, dual_word, "construction I needs x·x = 1, got 0"),
+        (ConstructionKind.IV, odd, "construction IV needs x·x = 0, got 1"),
+        (ConstructionKind.II, BitVector.from01("0000011000"),
          "x is not orthogonal to the code (y != 0); use construction III"),
-        (construct_III, dual_word, "x is orthogonal to the code (y = 0); use construction II"),
+        (ConstructionKind.III, dual_word,
+         "x is orthogonal to the code (y = 0); use construction II"),
     ]
-    for build, x, text in cases:
+    for kind, x, text in cases:
         with pytest.raises((WrongParityError, WrongConstructionError)) as err:
-            build(seed, x)
+            construct(seed, x, kind)
         assert str(err.value) == text
 
 
@@ -252,7 +249,7 @@ def test_construct_III_sweep_hull_set(seed):
         x = BitVector(10, bits)
         if ExtensionVector.bind(seed, x).y.is_zero():
             continue
-        res = construct_III(seed, x)
+        res = construct(seed, x, ConstructionKind.III)
         assert res.actual_hull in {1, 2, 3}
         observed.add(res.actual_hull)
     # both worked examples land here, and the drop to l is also realized
@@ -262,7 +259,7 @@ def test_construct_III_sweep_hull_set(seed):
 def test_construct_IV_preserves_hull():
     e8 = LinearCode.from_strings(E8)
     assert e8.hull().h == 4
-    res = construct_IV(e8, BitVector.from01("11000000"))
+    res = construct(e8, BitVector.from01("11000000"), ConstructionKind.IV)
     assert (res.child.n, res.child.k) == (10, 5)
     assert res.actual_hull == 4
     _check_parity_relation(res)
@@ -271,7 +268,7 @@ def test_construct_IV_preserves_hull():
 def test_construct_IV_lengthens_h4_witness():
     # the bundled [11,5,4] hull-4 seed reaches [13,6,4] without moving h
     seed = corpus.by_label(corpus.load_corpus(validate=False))["D4_11_5_4"].code()
-    res = construct_IV(seed, BitVector.from01("11110000000"))
+    res = construct(seed, BitVector.from01("11110000000"), ConstructionKind.IV)
     child = res.child
     assert (child.n, child.k, child.min_distance()) == (13, 6, 4)
     assert res.actual_hull == 4
@@ -281,21 +278,21 @@ def test_construct_IV_lengthens_h4_witness():
 def test_construct_IV_lcd_to_lcd():
     lcd = LinearCode.from_strings(["11100", "01110"])
     assert lcd.hull().is_lcd
-    res = construct_IV(lcd, BitVector.from01("11000"))
+    res = construct(lcd, BitVector.from01("11000"), ConstructionKind.IV)
     assert res.child.hull().is_lcd
     _check_parity_relation(res)
 
 
 def test_construct_IV_full_space_seed():
-    c = from_generator(identity(2))
-    res = construct_IV(c, BitVector.from01("11"))
+    c = LinearCode(identity(2))
+    res = construct(c, BitVector.from01("11"), ConstructionKind.IV)
     assert (res.child.n, res.child.k) == (4, 3)
     assert res.parity_check.nrows == 1
     _check_parity_relation(res)
 
 
 def test_construct_IV_zero_vector(seed):
-    res = construct_IV(seed, BitVector.zero(10))
+    res = construct(seed, BitVector(10, 0), ConstructionKind.IV)
     assert res.actual_hull == 1
     assert res.actual_distance == 1
     assert res.distance_prediction == {1}
@@ -334,7 +331,7 @@ def test_distance_membership_exhaustive_sh6():
     for bits in range(1 << 6):
         x = BitVector(6, bits)
         if bits.bit_count() % 2 == 1:
-            res = construct_I(sh6, x)
+            res = construct(sh6, x, ConstructionKind.I)
         else:
             kind = classify_extension(sh6, x)
             res = construct(sh6, x, kind)

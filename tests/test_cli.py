@@ -392,6 +392,23 @@ def test_negative_hull_dimension_is_a_usage_error(capsys, argv):
     assert captured.err.startswith("error: ") and "must be a non-negative integer" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["extend", SEED, "--x=--"],
+        ["extend", SEED, "--x", "0000011000", "--kind=--"],
+        ["sweep", SEED, "--target-h", "2", "--kinds=--"],
+        ["exhaustive", "--n=--", "--k", "2", "--h", "1"],
+    ],
+)
+def test_double_dash_as_an_option_value_is_a_usage_error(capsys, argv):
+    # argparse drops a "--" value and leaves [] behind, which no command may read
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == EXIT_USAGE and captured.out == ""
+    assert captured.err == "error: an option was given '--' as its value\n"
+
+
 def test_unknown_command_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["bogus"])

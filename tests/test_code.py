@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from hullforge import code as code_mod
 from hullforge import gf2
-from hullforge.code import LinearCode, from_generator
+from hullforge.code import LinearCode
 from hullforge.errors import (
     ClaimViolationError,
     DimensionError,
@@ -93,7 +93,7 @@ def _random_code(rng, n_max=14):
 
 
 def test_from_generator_identity():
-    c = from_generator(identity(4))
+    c = LinearCode(identity(4))
     assert (c.n, c.k) == (4, 4)
     assert not c.repaired
 
@@ -131,7 +131,7 @@ def test_dual_involution_and_self_dual():
 
 
 def test_dual_of_full_space_rejected():
-    c = from_generator(identity(3))
+    c = LinearCode(identity(3))
     with pytest.raises(InvalidCodeError):
         c.dual()
 
@@ -145,7 +145,7 @@ def test_hull_hamming():
 
 
 def test_hull_identity_is_lcd():
-    rep = from_generator(identity(5)).hull()
+    rep = LinearCode(identity(5)).hull()
     assert rep.h == 0 and rep.is_lcd
     assert rep.basis.nrows == 0
 
@@ -220,7 +220,7 @@ def test_weight_distribution_matches_naive():
 
 def test_coset_zero_and_member():
     c = LinearCode.from_strings(SEED_10_6_3)
-    prof = c.coset_min_weight(BitVector.zero(10))
+    prof = c.coset_min_weight(BitVector(10, 0))
     assert prof.min_weight == 0 and prof.leader.is_zero()
     prof = c.coset_min_weight(c.gen.row(2))
     assert prof.min_weight == 0
@@ -241,7 +241,7 @@ def test_covering_radius_b12():
 
 
 def test_covering_radius_small():
-    assert from_generator(identity(6)).covering_radius() == 0
+    assert LinearCode(identity(6)).covering_radius() == 0
     assert LinearCode.from_strings(REP2).covering_radius() == 1
 
 
@@ -514,7 +514,7 @@ def _combinations_radius(c: LinearCode) -> int:
 
 @settings(max_examples=200, deadline=None)
 @given(small_chunked_codes(n_max=14, k_max=14))
-@example((from_generator(identity(9)), 2))  # k = n
+@example((LinearCode(identity(9)), 2))  # k = n
 @example((LinearCode(BitMatrix(6, (0b000111, 0b111000, 0b111111))), 2))  # repaired
 @example((LinearCode(BitMatrix(7, (0b0000001, 0b0001110))), 2))  # zero column in H
 @example((LinearCode(BitMatrix(7, (0b0000011, 0b0001100, 0b1110000))), 2))  # repeated

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import shutil
+
 import pytest
 
 from hullforge import corpus
@@ -286,6 +288,29 @@ def test_parse_errors_carry_line_numbers():
         parse_entry("2 2 2 1 tiny\n11\n")
     with pytest.raises(CorpusFormatError):
         parse_entry("# just a note\n")
+
+
+@pytest.mark.parametrize(
+    "name, old, new, load",
+    [
+        ("t1.txt", "\n4 1 4 = - - -\n", "\n4 1x 4 = - - -\n", load_tables),
+        ("t11.txt", "\n3 12 3 5 7 12 3 5 7 - T2\n", "\n3 12 3 5 7 x 3 5 7 - T2\n",
+         load_comparison),
+    ],
+    ids=["t1", "t11"],
+)
+def test_non_integer_table_field_names_its_file_and_line(tmp_path, name, old, new, load):
+    root = tmp_path / "corpus"
+    shutil.copytree(corpus.data_root(), root)
+    path = root / "tables" / name
+    text = path.read_text()
+    assert text.count(old) == 1
+    lineno = text[: text.index(old)].count("\n") + 2
+    path.write_text(text.replace(old, new))
+    with pytest.raises(CorpusFormatError) as exc:
+        load(root)
+    assert exc.value.line == lineno
+    assert str(path) in str(exc.value)
 
 
 def test_validation_failure_raises():

@@ -108,10 +108,29 @@ def test_params_validation():
         EaqeccParams(4, 2, 0, 0)
     with pytest.raises(UsageError):
         EaqeccParams(4, 2, 2, 4)
-    with pytest.raises(UsageError):
-        EaqeccParams(4, 1, 2, 0, degenerate=True)
-    with pytest.raises(UsageError):
+
+
+def test_derived_flags_follow_the_four_fields(entries):
+    # derive sets no flag: both sides of every corpus code read them from (n, k, d, c)
+    for entry in entries.values():
+        pair = derive(entry.code())
+        for p in (pair.primal, pair.dual_side):
+            assert p.is_mds == (singleton_gap(p) == 0), entry.label
+            assert p.degenerate == (p.k == 0), entry.label
+    assert len(entries) == 78
+
+
+def test_hand_built_params_derive_their_flags(entries):
+    # a hand-built k = 0 set is degenerate, and equal to the derived one
+    p = EaqeccParams(7, 0, 4, 1)
+    assert p.degenerate and not p.is_mds
+    assert p == derive(entries["Hamming_7_4_3"].code()).dual_side
+    assert repr(p) == "EaqeccParams(n=7, k=0, d=4, c=1)"
+    assert EaqeccParams(4, 2, 2, 0).is_mds and not EaqeccParams(4, 2, 2, 0).degenerate
+    with pytest.raises(TypeError):
         EaqeccParams(4, 2, 2, 0, is_mds=False)
+    with pytest.raises(AttributeError):
+        p.degenerate = False
 
 
 def test_pair_validation():

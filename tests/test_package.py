@@ -1,6 +1,20 @@
-"""The package's public surface: the names `from hullforge import *` binds."""
+"""The package's public surface: the names `from hullforge import *` binds,
+and the export list of each submodule."""
+
+import importlib
+import pkgutil
+
+import pytest
 
 import hullforge
+
+SUBMODULES = [
+    mod for mod in (
+        importlib.import_module(f"hullforge.{info.name}")
+        for info in pkgutil.iter_modules(hullforge.__path__)
+    )
+    if hasattr(mod, "__all__")
+]
 
 PUBLIC_NAMES = [
     "BitMatrix",
@@ -40,15 +54,10 @@ PUBLIC_NAMES = [
     "best_by_sweep",
     "classify_extension",
     "construct",
-    "construct_I",
-    "construct_II",
-    "construct_III",
-    "construct_IV",
     "derive",
     "enumeration_cap",
     "exhaustive_codes",
     "format_quantum_table",
-    "from_generator",
     "hull_census",
     "iter_exhaustive",
     "load_comparison",
@@ -73,3 +82,22 @@ def test_star_import_binds_every_public_name():
     namespace = {}
     exec("from hullforge import *", namespace)
     assert sorted(k for k in namespace if k != "__builtins__") == PUBLIC_NAMES
+
+
+@pytest.mark.parametrize("mod", SUBMODULES, ids=lambda mod: mod.__name__)
+def test_submodule_star_import_binds_exactly_its_export_list(mod):
+    assert len(set(mod.__all__)) == len(mod.__all__)
+    for name in mod.__all__:
+        assert hasattr(mod, name), name
+    namespace = {}
+    exec(f"from {mod.__name__} import *", namespace)
+    assert sorted(k for k in namespace if k != "__builtins__") == sorted(mod.__all__)
+
+
+def test_package_names_are_exported_by_their_submodule():
+    assert {mod.__name__ for mod in SUBMODULES} >= {
+        f"hullforge.{m}" for m in ("buildup", "code", "corpus", "eaqecc", "errors", "gf2", "search")
+    }
+    for name in hullforge.__all__:
+        home = importlib.import_module(getattr(hullforge, name).__module__)
+        assert name in home.__all__, f"{home.__name__}.__all__ lacks {name}"

@@ -40,6 +40,7 @@ from hullforge.errors import (
 )
 from hullforge.gf2 import BitMatrix, BitVector
 from hullforge.search import (
+    EXHAUSTIVE_CAP,
     EquivalenceVerdict,
     OptimalityClaim,
     SweepRecord,
@@ -741,6 +742,23 @@ def test_exhaustive_full_space_cell():
     claim = exhaustive_codes(3, 3, 0)
     assert claim.status == "h_optimal"
     assert claim.d_best == 1
+
+
+def test_exhaustive_full_space_is_capped_on_its_rows():
+    # k(n-k) is 0 for [n, n], yet the witness still has n rows, so the cap reads k
+    claim = exhaustive_codes(EXHAUSTIVE_CAP, EXHAUSTIVE_CAP, 0)
+    assert claim.witness.nrows == EXHAUSTIVE_CAP
+    n = 2**31
+    for call in (
+        lambda: exhaustive_codes(n, n, 0),
+        lambda: next(iter_exhaustive(n, n, 0)),
+        lambda: hull_census(n, n),
+        lambda: exhaustive_codes(EXHAUSTIVE_CAP + 1, EXHAUSTIVE_CAP + 1, 0),
+    ):
+        with pytest.raises(ResourceLimitError, match="full space exceeds enumeration cap") as err:
+            call()
+        assert err.value.limit == EXHAUSTIVE_CAP
+    assert exhaustive_codes(30, 30, 0, cap=30).witness.nrows == 30
 
 
 def test_exhaustive_cap():
