@@ -69,19 +69,12 @@ class ExtensionVector:
     def bind(cls, c: LinearCode, x: BitVector) -> "ExtensionVector":
         if x.len != c.n:
             raise DimensionError(f"x has length {x.len}, code has length {c.n}")
-        y = 0
-        for i, r in enumerate(c.gen.row_bits):
-            y |= gf2.parity(x.bits & r) << i
-        z = 0
         zlen = c.n - c.k
-        if zlen:
-            for j, s in enumerate(c.parity_check().row_bits):
-                z |= gf2.parity(x.bits & s) << j
         return cls(
             x=x,
             self_product=x.bits.bit_count() & 1,
-            y=BitVector(c.k, y),
-            z=BitVector(zlen, z),
+            y=BitVector(c.k, gf2._products(x.bits, c.gen.row_bits)),
+            z=BitVector(zlen, gf2._products(x.bits, c.parity_check().row_bits) if zlen else 0),
         )
 
 

@@ -285,8 +285,15 @@ def cmd_reproduce(args) -> int:
 # -------------------------------------------------------------------- main
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument errors become one `error:` line and exit 2, as every other usage error."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hullforge",
         description="Binary linear codes with hull control.",
         epilog="HULLFORGE_MAX_K overrides the codeword enumeration cap.",
@@ -352,9 +359,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         if [] in vars(args).values():  # argparse reads "--opt=--" as no value at all
             raise UsageError("an option was given '--' as its value")
         status = args.func(args)

@@ -1,12 +1,13 @@
 """Linear codes over GF(2): duality, hull, distance, cosets, covering radius.
 
-A LinearCode wraps a full-rank generator matrix.  Derived data (hull
-dimension, dual, hull report, weight distribution) is computed on first
-request and cached; all cached values are immutable, so a warm cache
-never changes an answer.  The hull dimension is k - rank(G G^T) alone;
-the hull report's Zassenhaus basis, and the dual it needs, are built
-only when hull() is called, and a basis whose size disagrees with the
-Gram rank raises ClaimViolationError.
+A LinearCode wraps a full-rank generator matrix: the first independent
+input rows, by gf2's forward elimination (repaired if any was dropped).
+Derived data (hull dimension, dual, hull report, weight distribution)
+is computed on first request and cached; all cached values are
+immutable, so a warm cache never changes an answer.  The hull dimension
+is k - rank(G G^T) alone; the hull report's Zassenhaus basis, and the
+dual it needs, are built only when hull() is called, and a basis whose
+size disagrees with the Gram rank raises ClaimViolationError.
 
 Weight distributions, coset leaders, equivalence profiles and the
 distances of exhaustive search's lanes read the 2^k codewords from one
@@ -171,10 +172,11 @@ class LinearCode:
     """An [n, k] binary linear code held by a full-rank generator matrix."""
 
     def __init__(self, gen: BitMatrix):
-        rows = []
-        span = gf2._Span()
+        rows, basis = [], []  # the first independent input rows, and their echelon
         for b in gen.row_bits:
-            if span.add(b):
+            v = gf2._reduce_against(basis, b)
+            if v:
+                basis.append(v)
                 rows.append(b)
         if not rows:
             raise InvalidCodeError("generator has rank 0")

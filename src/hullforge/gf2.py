@@ -4,6 +4,9 @@ Vectors and matrices are stored as Python integers, one bit per
 coordinate, with bit i holding coordinate i (so the leftmost character
 of the text form "0110.." is bit 0).  Arbitrary lengths are supported;
 everything here is exact.
+One forward elimination (_echelon) serves rank, membership and the
+Zassenhaus intersection; the RREF is its back-substitution, and every
+parity product v · R^T, Gram rows included, is _products.
 """
 
 from __future__ import annotations
@@ -46,59 +49,46 @@ def parity(x: int) -> int:
     return x.bit_count() & 1
 
 
-def _rref_ints(rows: Sequence[int], ncols: int) -> tuple[list[int], list[int]]:
-    """Reduced row echelon form.  Returns (rows, pivot columns).
-
-    Rows join a fully reduced basis keyed by pivot (lowest set bit, the
-    leftmost column); the RREF is unique, so sorting by pivot gives it.
-    Zero rows sink to the bottom; the output keeps the input's row count.
-    """
-    basis: dict[int, int] = {}  # pivot bit -> row
-    for v in rows:
-        for low, b in basis.items():
-            if v & low:
-                v ^= b
-        if v:
-            low = v & -v
-            for other, b in basis.items():
-                if b & low:
-                    basis[other] = b ^ v
-            basis[low] = v
-    lows = sorted(basis)
-    out = [basis[low] for low in lows] + [0] * (len(rows) - len(lows))
-    return out, [low.bit_length() - 1 for low in lows]
-
-
 def _reduce_against(basis: list[int], v: int) -> int:
     """Reduce v against echelon basis rows (each with a unique low bit)."""
     for b in basis:
-        low = b & -b
-        if v & low:
+        if v & b & -b:  # v holds b's pivot
             v ^= b
     return v
 
 
-class _Span:
-    """Incremental row-space tracker over packed ints."""
+def _echelon(rows: Iterable[int]) -> list[int]:
+    """The rows left nonzero after each is reduced against those kept
+    before it; their pivots (lowest set bits) are distinct."""
+    basis: list[int] = []
+    for v in rows:
+        v = _reduce_against(basis, v)
+        if v:
+            basis.append(v)
+    return basis
 
-    def __init__(self, rows: Iterable[int] = ()):
-        self.basis: list[int] = []
-        for r in rows:
-            self.add(r)
 
-    def add(self, v: int) -> bool:
-        v = _reduce_against(self.basis, v)
-        if v == 0:
-            return False
-        self.basis.append(v)
-        return True
+def _rref_ints(rows: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Reduced row echelon form.  Returns (rows, pivot columns).
 
-    def contains(self, v: int) -> bool:
-        return _reduce_against(self.basis, v) == 0
+    Sort the echelon rows by pivot, then clear each pivot from the rows
+    above it, last first.  Zero rows pad it to the input's row count."""
+    out = sorted(_echelon(rows), key=lambda r: r & -r)
+    for i in range(len(out) - 1, 0, -1):
+        low = out[i] & -out[i]
+        for j in range(i):
+            if out[j] & low:
+                out[j] ^= out[i]
+    pivots = [(r & -r).bit_length() - 1 for r in out]
+    return out + [0] * (len(rows) - len(out)), pivots
 
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
+
+def _products(v: int, rows: Sequence[int]) -> int:
+    """Bit i is parity(v & rows[i]): the product v · rows^T."""
+    out = 0
+    for i, r in enumerate(rows):
+        out |= ((v & r).bit_count() & 1) << i
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -210,12 +200,12 @@ def dot(a: BitVector, b: BitVector) -> int:
 
 
 def rank(m: BitMatrix) -> int:
-    return _Span(m.row_bits).dim
+    return len(_echelon(m.row_bits))
 
 
 def row_basis(m: BitMatrix) -> BitMatrix:
     """RREF with zero rows dropped: the canonical basis of the row space."""
-    rows, pivots = _rref_ints(m.row_bits, m.ncols)
+    rows, pivots = _rref_ints(m.row_bits)
     return BitMatrix(m.ncols, tuple(rows[: len(pivots)]))
 
 
@@ -248,13 +238,7 @@ def mat_mul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
 
 def gram(m: BitMatrix) -> BitMatrix:
     """m · m^T without materializing the transpose."""
-    out = []
-    for a in m.row_bits:
-        v = 0
-        for j, b in enumerate(m.row_bits):
-            v |= ((a & b).bit_count() & 1) << j
-        out.append(v)
-    return BitMatrix(m.nrows, tuple(out))
+    return BitMatrix(m.nrows, tuple(_products(a, m.row_bits) for a in m.row_bits))
 
 
 def nullspace_basis(m: BitMatrix) -> BitMatrix:
@@ -265,7 +249,7 @@ def nullspace_basis(m: BitMatrix) -> BitMatrix:
     identity; a full-rank square matrix yields a 0×n result.
     """
     n = m.ncols
-    rows, pivots = _rref_ints(m.row_bits, n)
+    rows, pivots = _rref_ints(m.row_bits)
     pivot_set = set(pivots)
     basis = []
     for f in range(n):
@@ -282,27 +266,19 @@ def nullspace_basis(m: BitMatrix) -> BitMatrix:
 def row_space_intersection(a: BitMatrix, b: BitMatrix) -> BitMatrix:
     """Basis of rowspace(a) ∩ rowspace(b) by the Zassenhaus construction.
 
-    Stack (u | u) for u in a over (v | 0) for v in b and row-reduce; the
-    right halves of the rows whose left half vanished span exactly the
-    intersection.
+    Stack (u | u) for u in a over (v | 0) for v in b and bring it to
+    echelon form; the right halves of the rows whose left half vanished
+    span exactly the intersection, and one RREF makes that basis canonical.
     """
     if a.ncols != b.ncols:
         raise DimensionError("width mismatch")
     n = a.ncols
-    rows = [u | (u << n) for u in a.row_bits]
-    rows += list(b.row_bits)
-    reduced, pivots = _rref_ints(rows, 2 * n)
-    mask = (1 << n) - 1
-    out = []
-    for r in reduced[: len(pivots)]:
-        if r & mask == 0:
-            out.append(r >> n)
-    # re-reduce the extracted halves so the basis is canonical
-    reduced2, pivots2 = _rref_ints(out, n)
-    return BitMatrix(n, tuple(reduced2[: len(pivots2)]))
+    rows = _echelon([u | (u << n) for u in a.row_bits] + list(b.row_bits))
+    out, pivots = _rref_ints([r >> n for r in rows if r >> n << n == r])
+    return BitMatrix(n, tuple(out[: len(pivots)]))
 
 
 def in_row_space(m: BitMatrix, v: BitVector) -> bool:
     if v.len != m.ncols:
         raise DimensionError("length mismatch")
-    return _Span(m.row_bits).contains(v.bits)
+    return _reduce_against(_echelon(m.row_bits), v.bits) == 0

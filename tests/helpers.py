@@ -21,7 +21,7 @@ def stack(a: BitMatrix, b: BitMatrix) -> BitMatrix:
 
 def rref(m: BitMatrix) -> tuple[BitMatrix, list[int]]:
     """Reduced row echelon form plus pivot columns.  Shape-preserving."""
-    rows, pivots = _rref_ints(m.row_bits, m.ncols)
+    rows, pivots = _rref_ints(m.row_bits)
     return BitMatrix(m.ncols, tuple(rows)), pivots
 
 

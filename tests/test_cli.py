@@ -409,10 +409,37 @@ def test_double_dash_as_an_option_value_is_a_usage_error(capsys, argv):
     assert captured.err == "error: an option was given '--' as its value\n"
 
 
-def test_unknown_command_exits_2():
+def test_unknown_command_exits_2(capsys):
+    assert main(["bogus"]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: hullforge: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["extend", SEED],
+        ["extend", SEED, "--x", "0101", "--kind", "V"],
+        ["sweep", SEED, "--target-h", "abc"],
+        ["exhaustive", "--n", "5"],
+        ["bogus"],
+        [],
+        ["hull"],
+    ],
+)
+def test_argument_errors_are_one_error_line(capsys, argv):
+    assert main(argv) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: hullforge")
+
+
+def test_help_still_prints_usage(capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["bogus"])
-    assert exc.value.code == 2
+        main(["extend", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: hullforge extend")
 
 
 def test_console_script_entry_point():

@@ -3,7 +3,8 @@
 
 Inputs stay at bundled size (n <= 13): mutated copies of the bundled
 matrix files and random argument vectors for the file and search
-commands, run in-process through main(argv).  `exhaustive --cap` is
+commands, run in-process through main(argv); argv that argparse itself
+refuses must exit 2 with one `error:` line.  `exhaustive --cap` is
 drawn up to 30, where the slowest in-cap cell, (11, 5), takes about
 0.2 s; the caps do not bound time to 1 s beyond that.
 """
@@ -125,6 +126,34 @@ def argv(draw) -> list:
     ]
 
 
+REQUIRED = {"extend": ["x"], "sweep": ["target-h"], "exhaustive": ["n", "k", "h"]}
+NOT_CHOICES = st.sampled_from(["V", "i", "iv", "Auto", "", "I,II", "0"])
+NOT_INTS = st.sampled_from(["x", "1.5", "1e3", "0x10", "", "a b", "3-"])
+
+
+@st.composite
+def rejected_argv(draw) -> list:
+    """An argv() draw that argparse refuses: a required option or file
+    dropped, a --kind/--kinds value out of its choices, a non-integer
+    size, or an unknown subcommand or none."""
+    args = draw(argv())
+    command = args[0]
+    how = draw(st.sampled_from(["drop", "choice", "integer", "command"]))
+    if how == "drop":
+        if command not in REQUIRED:
+            return args[:-1]  # the last file argument
+        name = draw(st.sampled_from(REQUIRED[command]))
+        return [a for a in args if not str(a).startswith(f"--{name}=")]
+    if how == "choice" and command in ("extend", "sweep"):
+        bad = draw(NOT_CHOICES)
+        return args + (["--kinds", "I", bad] if command == "sweep" else [f"--kind={bad}"])
+    if how == "integer" and command in ("sweep", "exhaustive"):
+        names = ["target-h", "min-d"] if command == "sweep" else ["n", "k", "h", "cap"]
+        return args + _opt(draw(st.sampled_from(names)), draw(NOT_INTS))
+    bad = draw(st.sampled_from(["bogus", "Hull", "", "sweeps", "reproduce_tables"]))
+    return draw(st.sampled_from([[], [bad, *args[1:]]]))
+
+
 def _recording(func, raised: list):
     def run(args):
         try:
@@ -153,9 +182,8 @@ def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
-@settings(max_examples=1000, deadline=None)
-@given(drawn=argv())
-def test_fuzzed_command_lines_end_in_an_exit_code(workdir, drawn):
+def _run(workdir: Path, drawn: list):
+    """main(argv) on the materialized draw: (argv, rc, stdout, stderr lines, raised)."""
     args = _materialize(drawn, workdir)
     raised: list[Exception] = []
     out, err = io.StringIO(), io.StringIO()
@@ -173,11 +201,26 @@ def test_fuzzed_command_lines_end_in_an_exit_code(workdir, drawn):
     assert elapsed <= 1.0, (args, elapsed)
     lines = err.getvalue().splitlines()
     assert lines == [] or (len(lines) == 1 and lines[0].startswith("error: ")), (args, lines)
+    return args, rc, out.getvalue(), lines, raised
+
+
+@settings(max_examples=1000, deadline=None)
+@given(drawn=argv())
+def test_fuzzed_command_lines_end_in_an_exit_code(workdir, drawn):
+    args, rc, out, lines, raised = _run(workdir, drawn)
     if rc == 1:
         if raised:
             assert isinstance(raised[0], (ClaimViolationError, CorpusValidationError)), args
         else:  # a mismatch the parity-check report states itself
             assert args[0] == "extend" and "--verify-parity-check" in args, args
-            assert ": no" in out.getvalue(), args
+            assert ": no" in out, args
     if rc == 0 or (rc == 1 and not raised):
         assert lines == [], args
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn=rejected_argv())
+def test_argv_that_argparse_refuses_is_one_error_line(workdir, drawn):
+    args, rc, out, lines, raised = _run(workdir, drawn)
+    assert (rc, out, raised) == (2, "", []), args
+    assert len(lines) == 1, args

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hullforge.errors import DimensionError
+from hullforge.code import LinearCode
+from hullforge.errors import DimensionError, InvalidCodeError
 from hullforge import gf2
 from hullforge.gf2 import BitMatrix, BitVector
 from helpers import identity, rref, stack, zeros
@@ -288,7 +289,7 @@ def row_lists(draw):
 @settings(max_examples=400, deadline=None)
 def test_rref_kernel_matches_column_scan(case):
     rows, ncols = case
-    assert gf2._rref_ints(rows, ncols) == _column_scan_rref(rows, ncols)
+    assert gf2._rref_ints(rows) == _column_scan_rref(rows, ncols)
 
 
 @pytest.mark.parametrize(
@@ -296,8 +297,8 @@ def test_rref_kernel_matches_column_scan(case):
     [([], 0), ([], 5), ([0, 0], 0), ([0, 0, 0], 4), ([5, 5, 0, 5], 3), ([6, 3, 5], 3)],
 )
 def test_rref_kernel_edge_cases(rows, ncols):
-    assert gf2._rref_ints(rows, ncols) == _column_scan_rref(rows, ncols)
-    out, _ = gf2._rref_ints(rows, ncols)
+    assert gf2._rref_ints(rows) == _column_scan_rref(rows, ncols)
+    out, _ = gf2._rref_ints(rows)
     assert len(out) == len(rows)
 
 
@@ -340,3 +341,77 @@ def test_matrix_width_edges():
 def test_matrix_strings_match_char_loop(case):
     rows, n = case
     assert BitMatrix(n, tuple(rows)).to_strings() == [_char_loop_01(b, n) for b in rows]
+
+
+# --- what the one elimination and the one parity product must not move.
+# Widths reach 70, so rows cross the 64-bit edge.
+
+
+@st.composite
+def wide_rows(draw, max_rows=8):
+    """Rows over ncols in 1..70, with zero, repeated and dependent rows mixed in."""
+    ncols = draw(st.integers(1, 70))
+    rows = draw(st.lists(st.integers(0, (1 << ncols) - 1), max_size=max_rows))
+    for _ in range(draw(st.integers(0, 3))):
+        if not rows:
+            break
+        picked = draw(st.lists(st.sampled_from(rows), max_size=3))
+        extra = 0
+        for r in picked:  # no pick is a zero row, one a repeat, more a sum
+            extra ^= r
+        rows.insert(draw(st.integers(0, len(rows))), extra)
+    return rows, ncols
+
+
+def _scan_rank(rows, ncols):
+    return len(_column_scan_rref(rows, ncols)[1])
+
+
+@given(wide_rows())
+@settings(max_examples=300, deadline=None)
+def test_linear_code_keeps_the_first_independent_rows_in_order(case):
+    rows, ncols = case
+    kept = []
+    for r in rows:
+        if _scan_rank(kept + [r], ncols) > len(kept):
+            kept.append(r)
+    if not kept:
+        with pytest.raises(InvalidCodeError):
+            LinearCode(BitMatrix(ncols, tuple(rows)))
+        return
+    c = LinearCode(BitMatrix(ncols, tuple(rows)))
+    assert c.gen.row_bits == tuple(kept)
+    assert c.repaired == (len(kept) != len(rows))
+
+
+def _span(rows):
+    out = {0}
+    for r in rows:
+        out |= {v ^ r for v in out}
+    return out
+
+
+@given(wide_rows(max_rows=3), st.data())
+@settings(max_examples=300, deadline=None)
+def test_intersection_matches_brute_force(case, data):
+    a, ncols = case
+    # b shares part of a's span, so the intersection is often nonzero
+    shared = data.draw(st.lists(st.sampled_from(sorted(_span(a))), max_size=3))
+    own = data.draw(st.lists(st.integers(0, (1 << ncols) - 1), max_size=3))
+    b = data.draw(st.permutations(shared + own))
+    inter = sorted(_span(a) & _span(b))
+    want, pivots = _column_scan_rref(inter, ncols)
+    got = gf2.row_space_intersection(BitMatrix(ncols, tuple(a)), BitMatrix(ncols, tuple(b)))
+    assert got == BitMatrix(ncols, tuple(want[: len(pivots)]))
+
+
+@given(wide_rows(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_products_match_the_parity_loop(case, data):
+    rows, ncols = case
+    v = data.draw(st.integers(0, (1 << ncols) - 1))
+    assert gf2._products(v, rows) == sum(gf2.parity(v & r) << i for i, r in enumerate(rows))
+    g = gf2.gram(BitMatrix(ncols, tuple(rows)))
+    assert g.row_bits == tuple(
+        sum(gf2.parity(a & b) << j for j, b in enumerate(rows)) for a in rows
+    )
