@@ -226,9 +226,7 @@ def _check_comparison(
     for row in rows:
         witnessed += 1
         n, k, d, c = row.ours
-        if not any(
-            (p.n, p.k, p.d, p.c) == (n, k, d, c) for _, p in derived
-        ):
+        if not any((p.n, p.k, p.d, p.c) == (n, k, d, c) for _, p in derived):
             mismatches.append(
                 f"MISMATCH T11 row {row.row}: no corpus code derives"
                 f" [[{n},{k},{d};{c}]]"
@@ -254,12 +252,7 @@ def cmd_reproduce(args) -> int:
         elif table_id in EVEN_TO_ODD:
             cells = by_table[EVEN_TO_ODD[table_id]]
             if args.table:
-                print(
-                    format_quantum_table(
-                        quantum_table_from_cells(cells), args.format
-                    ),
-                    end="",
-                )
+                print(format_quantum_table(quantum_table_from_cells(cells), args.format), end="")
             witnessed, mismatches = _check_even_table(table_id, cells, entries)
         else:  # T11
             rows = corpus.load_comparison()
@@ -311,11 +304,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extend", help="lengthen by two coordinates")
     p.add_argument("file")
     p.add_argument("--x", required=True, help="extension vector, 0/1 string")
-    p.add_argument(
-        "--kind",
-        default="auto",
-        choices=["I", "II", "III", "IV", "auto"],
-    )
+    p.add_argument("--kind", default="auto", choices=["I", "II", "III", "IV", "auto"])
     p.add_argument("--verify-parity-check", action="store_true")
     p.set_defaults(func=cmd_extend)
 
@@ -323,9 +312,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--target-h", type=int, required=True)
     p.add_argument("--min-d", type=int, default=1)
-    p.add_argument(
-        "--kinds", nargs="+", choices=["I", "II", "III", "IV"], default=None
-    )
+    p.add_argument("--kinds", nargs="+", choices=["I", "II", "III", "IV"], default=None)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("exhaustive", help="settle one (n, k, h) cell")
@@ -341,13 +328,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.set_defaults(func=cmd_eaqecc)
 
-    p = sub.add_parser(
-        "reproduce-tables", help="check the stored result grids against the corpus"
-    )
+    p = sub.add_parser("reproduce-tables", help="check the stored result grids against the corpus")
     p.add_argument("--table", choices=list(ALL_TABLES), default=None)
-    p.add_argument(
-        "--format", choices=["text", "csv", "md"], default="text"
-    )
+    p.add_argument("--format", choices=["text", "csv", "md"], default="text")
     p.set_defaults(func=cmd_reproduce)
 
     p = sub.add_parser("equiv", help="column-permutation equivalence")

@@ -12,8 +12,9 @@ size disagrees with the Gram rank raises ClaimViolationError.
 Weight distributions, coset leaders, equivalence profiles and the
 distances of exhaustive search's lanes read the 2^k codewords from one
 NumPy kernel, _codeword_chunks, in Gray order and in chunks of at most
-2^CHUNK_BITS words times lanes, so memory is one chunk whatever k is;
-iter_codewords yields the same sequence as ints.
+2^CHUNK_BITS words times lanes.  A code enumerates once: for k <=
+CHUNK_BITS its one chunk is the whole table (2 MB at most for n <= 64),
+cached read-only for its first three readers; above, each one streams.
 The covering radius reads a uint8 table of the 2^(n-k) syndromes
 instead, filled by _min_plus_pass once per distinct column of H; the
 sweep's coset kernel in search.py runs the same pass.
@@ -24,7 +25,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -89,10 +90,6 @@ class WeightDistribution:
 
     counts: tuple[tuple[int, int], ...]
 
-    @classmethod
-    def from_mapping(cls, m: Mapping[int, int]) -> "WeightDistribution":
-        return cls(tuple(sorted((w, c) for w, c in m.items() if c)))
-
     def as_dict(self) -> dict[int, int]:
         return dict(self.counts)
 
@@ -136,7 +133,7 @@ def _weights(words: np.ndarray) -> np.ndarray:
 
 
 def _codeword_chunks(rows: Sequence[np.ndarray]) -> Iterator[np.ndarray]:
-    """All 2^k sums of the k rows in iter_codewords order, in chunks of
+    """All 2^k sums of the k rows, in chunks of
     shape (words, *lanes, limbs): rows of shape (limbs,) from _limbs for
     one code, or (lanes, 1) for one free row of many codes.  A chunk
     holds at most 2^CHUNK_BITS words times lanes, and at least one word.
@@ -145,7 +142,8 @@ def _codeword_chunks(rows: Sequence[np.ndarray]) -> Iterator[np.ndarray]:
     is the table so far followed by the same table reversed and XORed
     with row i, the binary-reflected Gray order.  The high rows then step
     through their own Gray order, one row per step, and the odd steps
-    read the low table backwards, as the reflected order does.
+    read the low table backwards, as the reflected order does.  Word m is
+    the sum of the rows at the set bits of m ^ (m >> 1).
     """
     k = len(rows)
     _check_enum(k)
@@ -257,27 +255,24 @@ class LinearCode:
 
     # --- enumeration-backed quantities ------------------------------------
 
-    def iter_codewords(self) -> Iterator[int]:
-        """All 2^k codewords as packed ints, starting at 0, in the
-        binary-reflected Gray order of the messages: message m is the sum
-        of the rows at the set bits of m ^ (m >> 1).  _codeword_chunks
-        yields this same sequence in NumPy chunks."""
-        rows = self.gen.row_bits
-        cw = 0
-        prev = 0
-        yield 0
-        for m in range(1, 1 << self.k):
-            g = m ^ (m >> 1)
-            cw ^= rows[(g ^ prev).bit_length() - 1]
-            prev = g
-            yield cw
+    @cached_property
+    def _table(self) -> np.ndarray:
+        table = next(_codeword_chunks(_limbs(self.gen.row_bits, self.n)))
+        table.setflags(write=False)
+        return table
+
+    def _codewords(self) -> Iterable[np.ndarray]:
+        """_codeword_chunks, from the cached table when it is one chunk."""
+        if self.k <= CHUNK_BITS:
+            return (self._table,)
+        return _codeword_chunks(_limbs(self.gen.row_bits, self.n))
 
     @cached_property
     def _weight_distribution(self) -> WeightDistribution:
         counts = np.zeros(self.n + 1, dtype=np.int64)
-        for words in _codeword_chunks(_limbs(self.gen.row_bits, self.n)):
+        for words in self._codewords():
             counts += np.bincount(_weights(words), minlength=self.n + 1)
-        return WeightDistribution.from_mapping(dict(enumerate(counts.tolist())))
+        return WeightDistribution(tuple((w, c) for w, c in enumerate(counts.tolist()) if c))
 
     def weight_distribution(self) -> WeightDistribution:
         return self._weight_distribution
@@ -287,12 +282,12 @@ class LinearCode:
 
     def coset_min_weight(self, x: BitVector) -> CosetWeightProfile:
         """Least weight in the coset x + C, and its leader: the first
-        vector x + c of that weight, with c in iter_codewords order."""
+        vector x + c of that weight, with c in _codeword_chunks order."""
         if x.len != self.n:
             raise DimensionError("coset representative has wrong length")
         target = _limbs([x.bits], self.n)[0]
         best = None
-        for words in _codeword_chunks(_limbs(self.gen.row_bits, self.n)):
+        for words in self._codewords():
             coset = words ^ target
             weights = _weights(coset)
             at = int(weights.argmin())

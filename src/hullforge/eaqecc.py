@@ -5,15 +5,16 @@ sets [[n, k-h, d; n-k-h]] and [[n, n-k-h, d'; k-h]], where d and d' are
 the distances of the code and its dual.  This module is bookkeeping for
 those parameter sets and the quantum Singleton bound; a set holds only
 n, k, d and c, and its MDS and degenerate flags are derived from them.
-It does not build encoders.
+It builds no encoders and no dual: d' comes from the code's own weight
+distribution by the MacWilliams identity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
-from .code import LinearCode
+from .code import LinearCode, WeightDistribution
 from .corpus import TableCell
 from .errors import ClaimViolationError, UsageError
 
@@ -93,8 +94,27 @@ def singleton_gap(p: EaqeccParams) -> int:
     return p.n + p.c - p.k - 2 * (p.d - 1)
 
 
+def _dual_weights(wd: WeightDistribution, n: int, k: int) -> Iterator[int]:
+    """B_0, ..., B_n of the dual by MacWilliams, B_j = 2^-k sum_i A_i K_j(i),
+    with t_i = A_i K_j(i) stepped by (j+1) K_{j+1} = (n-2i) K_j - (n-j+1) K_{j-1}
+    for the weights i in wd only, as far as the caller reads."""
+    coefs = [n - 2 * i for i, _ in wd.counts]
+    prev, cur, found = [0] * len(coefs), [a for _, a in wd.counts], False  # t at j-1, j
+    for j in range(n + 1):
+        total = sum(cur)
+        if total < 0 or total & ((1 << k) - 1):
+            raise ClaimViolationError(f"MacWilliams B_{j} of [{n},{k}] code {wd} is not a count")
+        found |= j > 0 and total > 0
+        yield total >> k
+        m = n - j + 1
+        prev, cur = cur, [(c * t - m * p) // (j + 1) for c, t, p in zip(coefs, cur, prev)]
+    if not found:
+        raise ClaimViolationError(f"MacWilliams gives the [{n},{k}] code {wd} a zero dual")
+
+
 def derive(code: LinearCode) -> DerivationPair:
-    """Parameter sets entitled by a classical code and its hull."""
+    """Parameter sets entitled by a classical code and its hull; the dual
+    distance d' is the least j >= 1 with B_j != 0 (_dual_weights)."""
     n, k = code.n, code.k
     h = code.hull_dim()
     d = code.min_distance()
@@ -103,7 +123,8 @@ def derive(code: LinearCode) -> DerivationPair:
     primal = EaqeccParams(n, k - h, d, n - k - h)
     if k == n:
         return DerivationPair(primal, None, note="full-space code has no dual")
-    d_dual = code.dual().min_distance()
+    dual_weights = _dual_weights(code.weight_distribution(), n, k)
+    d_dual = next(j for j, b in enumerate(dual_weights) if j and b)
     dual_side = EaqeccParams(n, n - k - h, d_dual, k - h)
     return DerivationPair(primal, dual_side)
 

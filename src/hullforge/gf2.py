@@ -5,8 +5,8 @@ coordinate, with bit i holding coordinate i (so the leftmost character
 of the text form "0110.." is bit 0).  Arbitrary lengths are supported;
 everything here is exact.
 One forward elimination (_echelon) serves rank, membership and the
-Zassenhaus intersection; the RREF is its back-substitution, and every
-parity product v · R^T, Gram rows included, is _products.
+Zassenhaus intersection; the RREF is its back-substitution
+(_back_substitute), and every parity product v · R^T is _products.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from .errors import DimensionError
 __all__ = [
     "BitVector",
     "BitMatrix",
-    "dot",
     "rank",
     "mat_mul",
     "transpose",
@@ -68,17 +67,23 @@ def _echelon(rows: Iterable[int]) -> list[int]:
     return basis
 
 
-def _rref_ints(rows: Sequence[int]) -> tuple[list[int], list[int]]:
-    """Reduced row echelon form.  Returns (rows, pivot columns).
-
-    Sort the echelon rows by pivot, then clear each pivot from the rows
-    above it, last first.  Zero rows pad it to the input's row count."""
-    out = sorted(_echelon(rows), key=lambda r: r & -r)
+def _back_substitute(rows: Iterable[int]) -> list[int]:
+    """The RREF of echelon rows (nonzero, with distinct lowest set bits):
+    sort them by pivot, then clear each pivot from the rows above it,
+    last first."""
+    out = sorted(rows, key=lambda r: r & -r)
     for i in range(len(out) - 1, 0, -1):
         low = out[i] & -out[i]
         for j in range(i):
             if out[j] & low:
                 out[j] ^= out[i]
+    return out
+
+
+def _rref_ints(rows: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Reduced row echelon form.  Returns (rows, pivot columns); zero
+    rows pad it to the input's row count."""
+    out = _back_substitute(_echelon(rows))
     pivots = [(r & -r).bit_length() - 1 for r in out]
     return out + [0] * (len(rows) - len(out)), pivots
 
@@ -129,9 +134,6 @@ class BitVector:
 
     def weight(self) -> int:
         return self.bits.bit_count()
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.len) if self.bits >> i & 1)
 
     def is_zero(self) -> bool:
         return self.bits == 0
@@ -192,21 +194,13 @@ class BitMatrix:
 # operations
 
 
-def dot(a: BitVector, b: BitVector) -> int:
-    """Inner product: parity of the coordinatewise AND."""
-    if a.len != b.len:
-        raise DimensionError("length mismatch")
-    return parity(a.bits & b.bits)
-
-
 def rank(m: BitMatrix) -> int:
     return len(_echelon(m.row_bits))
 
 
 def row_basis(m: BitMatrix) -> BitMatrix:
     """RREF with zero rows dropped: the canonical basis of the row space."""
-    rows, pivots = _rref_ints(m.row_bits)
-    return BitMatrix(m.ncols, tuple(rows[: len(pivots)]))
+    return BitMatrix(m.ncols, tuple(_back_substitute(_echelon(m.row_bits))))
 
 
 def transpose(m: BitMatrix) -> BitMatrix:
@@ -268,14 +262,15 @@ def row_space_intersection(a: BitMatrix, b: BitMatrix) -> BitMatrix:
 
     Stack (u | u) for u in a over (v | 0) for v in b and bring it to
     echelon form; the right halves of the rows whose left half vanished
-    span exactly the intersection, and one RREF makes that basis canonical.
+    span exactly the intersection.  Their pivots lie in the right half
+    and are distinct, so they are already in echelon form and one
+    back-substitution makes that basis canonical.
     """
     if a.ncols != b.ncols:
         raise DimensionError("width mismatch")
     n = a.ncols
     rows = _echelon([u | (u << n) for u in a.row_bits] + list(b.row_bits))
-    out, pivots = _rref_ints([r >> n for r in rows if r >> n << n == r])
-    return BitMatrix(n, tuple(out[: len(pivots)]))
+    return BitMatrix(n, tuple(_back_substitute(r >> n for r in rows if r >> n << n == r)))
 
 
 def in_row_space(m: BitMatrix, v: BitVector) -> bool:

@@ -13,8 +13,8 @@ runs the codeword kernel of code._codeword_chunks over lanes of sorted
 free blocks; the census enumerates nothing, walking the congruence
 classes of I + AA^T one column of A at a time (_census_walk), and checks
 each nonexistence that exhaustive search finds for h <= min(k, n-k).
-Equivalence search backtracks over column profiles taken from the
-codeword chunks.
+Equivalence search backtracks over column profiles of each code's
+cached codeword table.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 from .buildup import (
     _HEADS, ConstructionKind, _check_kind, classify_extension, construct, predicted_hull
 )
-from .code import CHUNK_BITS, LinearCode, _codeword_chunks, _limbs, _min_plus_pass, _weights
+from .code import CHUNK_BITS, LinearCode, _codeword_chunks, _min_plus_pass, _weights
 from .errors import ClaimViolationError, DimensionError, ResourceLimitError, UsageError
 from .gf2 import BitMatrix, BitVector, gram, transpose
 
@@ -877,7 +877,7 @@ def _column_profiles(code: LinearCode):
     """
     n = code.n
     prof = np.zeros((n + 1, n, n))  # float64 sums are exact below 2^53
-    for words in _codeword_chunks(_limbs(code.gen.row_bits, n)):
+    for words in code._codewords():
         weights = _weights(words)
         by_weight = words[np.argsort(weights)].astype("<u8", copy=False)
         bits = np.unpackbits(by_weight.view(np.uint8), axis=1, bitorder="little")
@@ -901,7 +901,7 @@ def are_equivalent(
     Fast-rejects on weight distribution or hull dimension, then
     backtracks over column assignments constrained by per-column and
     per-column-pair codeword counts by weight (_column_profiles, one
-    NumPy pass over the codeword chunks per code).  A full assignment is
+    NumPy pass over each code's codewords).  A full assignment is
     accepted when every permuted row of a has syndrome 0 under b's
     parity checks: the permuted code then lies in b and has its
     dimension, so it is b.  A capped search returns equivalent=None

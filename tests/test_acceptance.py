@@ -212,6 +212,41 @@ def test_criterion_5_exhaustive_cells():
     assert exhaustive_codes(11, 5, 1, cap=30).d_best == 4
 
 
+# cells past the default cap whose sorted lanes number at most 1,307,504
+SHAPES_PAST_CAP = {
+    (10, 4), (10, 5), (10, 6), (11, 3), (11, 4), (11, 7), (11, 8),
+    (12, 3), (12, 4), (12, 8), (12, 9), (13, 3), (13, 4), (13, 9), (13, 10),
+}
+# the tables' >= cells among them, and the distance the search finds
+FOUND_PAST_BOUND = {("T5", 13, 4): 5, ("T5", 13, 9): 2, ("T7", 13, 9): 2}
+CELLS_PAST_CAP = [
+    (table_id, cell)
+    for table_id, cells in sorted(_cells_by_table().items())
+    if table_id in ODD_TABLE_HULL
+    for cell in cells
+    if (cell.n, cell.k) in SHAPES_PAST_CAP and cell.k * (cell.n - cell.k) > EXHAUSTIVE_CAP
+]
+
+
+def test_criterion_5_slice_past_the_cap_has_61_cells():
+    assert len(CELLS_PAST_CAP) == 61
+
+
+@pytest.mark.parametrize(
+    "table_id, cell", CELLS_PAST_CAP, ids=[f"{t}-{c.n}-{c.k}" for t, c in CELLS_PAST_CAP]
+)
+def test_criterion_5_cells_past_the_cap(table_id, cell):
+    h, cap = ODD_TABLE_HULL[table_id], cell.k * (cell.n - cell.k)
+    claim = exhaustive_codes(cell.n, cell.k, h, cap=cap)
+    if cell.d == 0:
+        assert (claim.status, claim.d_best) == ("nonexistence", 0)
+    elif cell.exact:
+        assert (claim.status, claim.d_best) == ("h_optimal", cell.d)
+    else:
+        assert claim.d_best >= cell.d
+        assert claim.d_best == FOUND_PAST_BOUND[(table_id, cell.n, cell.k)]
+
+
 def test_criterion_6_quantum_reproduction():
     grouped = _cells_by_table()
     witnessed = 0

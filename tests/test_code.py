@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hullforge import code as code_mod
-from hullforge import gf2
+from hullforge import gf2, search
 from hullforge.code import LinearCode
 from hullforge.errors import (
     ClaimViolationError,
@@ -26,7 +26,7 @@ from hullforge.errors import (
     ResourceLimitError,
 )
 from hullforge.gf2 import BitMatrix, BitVector
-from helpers import identity
+from helpers import identity, iter_codewords
 
 SEED_10_6_3 = [
     "1000000101",
@@ -426,7 +426,7 @@ def _gray_coset(c: LinearCode, x: BitVector) -> tuple[int, int]:
     # the Gray-order scan coset_min_weight replaced, kept as its oracle
     best = None
     leader = 0
-    for cw in c.iter_codewords():
+    for cw in iter_codewords(c):
         w = (x.bits ^ cw).bit_count()
         if best is None or w < best:
             best = w
@@ -449,7 +449,7 @@ def test_codeword_chunks_follow_iter_codewords(code_bits):
     words = [
         int.from_bytes(w.astype("<u8").tobytes(), "little") for ch in chunks for w in ch
     ]
-    assert words == list(c.iter_codewords())
+    assert words == list(iter_codewords(c))
 
 
 @settings(max_examples=120, deadline=None)
@@ -459,7 +459,7 @@ def test_codeword_chunks_follow_iter_codewords(code_bits):
 def test_weight_distribution_counts_iter_codewords(code_bits):
     c, bits = code_bits
     want: dict[int, int] = {}
-    for cw in c.iter_codewords():
+    for cw in iter_codewords(c):
         want[cw.bit_count()] = want.get(cw.bit_count(), 0) + 1
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(code_mod, "CHUNK_BITS", bits)
@@ -482,6 +482,57 @@ def test_coset_leader_matches_gray_loop(code_bits, member, raw):
         prof = c.coset_min_weight(x)
     assert (prof.min_weight, prof.leader.bits) == _gray_coset(c, x)
     assert prof.leader.len == c.n
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_chunked_codes(), st.lists(st.integers(0, (1 << 70) - 1), min_size=1, max_size=4))
+@example(WIDE[0], [(1 << 70) - 1 - (1 << 66), 0])
+@example(WIDE[1], [1 << 64 | 0b1011])
+def test_cached_table_matches_the_stream(code_bits, raws):
+    c, bits = code_bits
+    xs = [BitVector(c.n, r & ((1 << c.n) - 1)) for r in raws]
+    streamed = LinearCode(c.gen)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(code_mod, "CHUNK_BITS", bits)
+        want = (
+            streamed.weight_distribution(),
+            [streamed.coset_min_weight(x) for x in xs],
+            search._column_profiles(streamed),
+        )
+    got = (
+        c.weight_distribution(),
+        [c.coset_min_weight(x) for x in xs],
+        search._column_profiles(c),
+    )
+    assert got == want  # leaders compare as BitVectors, bit for bit
+
+
+def test_one_enumeration_per_code(monkeypatch):
+    calls = []
+    real = code_mod._codeword_chunks
+    monkeypatch.setattr(
+        code_mod, "_codeword_chunks", lambda rows: calls.append(len(rows)) or real(rows)
+    )
+    a = LinearCode.from_strings(B12)
+    xs = [BitVector(a.n, bits) for bits in (0, 0b101, (1 << a.n) - 1)]
+    a.weight_distribution()
+    [a.coset_min_weight(x) for x in xs]
+    search._column_profiles(a)
+    assert calls == [a.k]
+
+    # are_equivalent reads both codes' distributions and profiles
+    b = LinearCode(BitMatrix(a.n, tuple(r >> 1 | (r & 1) << (a.n - 1) for r in a.gen.row_bits)))
+    fresh = LinearCode(a.gen)
+    assert search.are_equivalent(fresh, b).equivalent
+    assert calls == [a.k] * 3
+
+    # past CHUNK_BITS each reader streams the chunks again
+    monkeypatch.setattr(code_mod, "CHUNK_BITS", 3)
+    streamed = LinearCode(a.gen)
+    streamed.weight_distribution()
+    [streamed.coset_min_weight(x) for x in xs]
+    search._column_profiles(streamed)
+    assert calls == [a.k] * 8
 
 
 def _combinations_radius(c: LinearCode) -> int:

@@ -2,11 +2,18 @@
 
 from __future__ import annotations
 
-import pytest
+from itertools import combinations
 
-from hullforge.code import LinearCode
+import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+
+from hullforge import gf2
+from hullforge.buildup import classify_extension, construct
+from hullforge.code import LinearCode, WeightDistribution
 from hullforge.corpus import by_label, load_corpus, load_tables
 from hullforge.eaqecc import (
+    _dual_weights,
     DerivationPair,
     EaqeccParams,
     QuantumCell,
@@ -17,8 +24,8 @@ from hullforge.eaqecc import (
     singleton_gap,
     tabulate,
 )
-from hullforge.errors import ClaimViolationError, UsageError
-from hullforge.gf2 import BitMatrix
+from hullforge.errors import ClaimViolationError, InvalidCodeError, UsageError
+from hullforge.gf2 import BitMatrix, BitVector, transpose
 
 
 @pytest.fixture(scope="module")
@@ -74,6 +81,97 @@ def test_hull_past_the_dual_dimension_raises(entries, monkeypatch):
     monkeypatch.setattr(code, "hull_dim", lambda: code.n - code.k + 1)
     with pytest.raises(ClaimViolationError, match="n - k"):
         derive(code)
+
+
+def _from_columns(cols: list[int], k: int) -> LinearCode:
+    """The code whose generator has the given k-bit columns."""
+    return LinearCode(transpose(BitMatrix(k, tuple(cols))))
+
+
+def _dependent_columns(code: LinearCode) -> int | None:
+    """The least number of columns of G that sum to zero, which is the
+    dual's minimum distance, when it is at most 4: a zero column, a
+    repeated column, a pair summing to a third column, or two pairs with
+    one sum (disjoint, as no column repeats); None above 4."""
+    cols = transpose(code.gen).row_bits
+    if 0 in cols:
+        return 1
+    if len(set(cols)) < len(cols):
+        return 2
+    sums = [a ^ b for a, b in combinations(cols, 2)]
+    if set(sums) & set(cols):
+        return 3
+    return 4 if len(set(sums)) < len(sums) else None
+
+
+@st.composite
+def macwilliams_codes(draw):
+    """Narrow codes (n <= 32) with k on either side of n - k, both at most
+    16 so that the dual enumerates; and wide codes, 65 <= n <= 70 so that
+    words span two limbs, with k <= 11, where the Hamming bound keeps the
+    dual distance at most 4."""
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 32))
+        k = draw(st.integers(max(1, n - 16), min(16, n - 1)))
+    else:
+        n, k = draw(st.integers(65, 70)), draw(st.integers(1, 11))
+    rows = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=k, max_size=k))
+    try:
+        return LinearCode(BitMatrix(n, tuple(rows)))
+    except InvalidCodeError:  # every row zero
+        assume(False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(macwilliams_codes())
+@example(LinearCode(BitMatrix(70, ((1 << 70) - 1, (1 << 35) - 1))))
+@example(_from_columns([c for c in range(1, 2048) if c.bit_count() % 2][:70], 11))  # d' = 4
+@example(_from_columns(list(range(1, 71)), 11))  # 1 ^ 2 == 3: d' = 3
+@example(LinearCode(BitMatrix(20, tuple(1 << i | 1 << (i + 1) for i in range(16)))))  # k > n - k
+def test_macwilliams_gives_the_dual_distance(code):
+    n, k = code.n, code.k
+    b = list(_dual_weights(code.weight_distribution(), n, k))
+    assert len(b) == n + 1 and all(type(x) is int and x >= 0 for x in b)
+    assert b[0] == 1 and sum(b) == 1 << (n - k)
+    d_dual = derive(code).dual_side.d
+    assert d_dual == min(j for j in range(1, n + 1) if b[j])
+    if n - k <= 16:
+        dual = code.dual()
+        assert d_dual == dual.min_distance()
+        assert b == [dual.weight_distribution()[j] for j in range(n + 1)]
+    else:
+        assert d_dual == _dependent_columns(code)
+
+
+def test_macwilliams_refuses_a_distribution_no_code_has():
+    # weights {0: 1, 1: 2, 3: 1} at n = 3, k = 2: B_1 = (3 + 2 - 3) / 4
+    forged = WeightDistribution(((0, 1), (1, 2), (3, 1)))
+    with pytest.raises(ClaimViolationError, match="not a count"):
+        list(_dual_weights(forged, 3, 2))
+    # the full space's distribution transforms to the zero dual
+    full = LinearCode.from_strings(["10", "01"]).weight_distribution()
+    with pytest.raises(ClaimViolationError, match="zero dual"):
+        list(_dual_weights(full, 2, 2))
+
+
+def test_derive_answers_a_70_2_code():
+    # the dual has 2^68 words, past the enumeration cap
+    pair = derive(LinearCode(BitMatrix(70, ((1 << 70) - 1, (1 << 35) - 1))))
+    assert (str(pair.primal), str(pair.dual_side)) == ("[[70,2,35;68]]", "[[70,68,2;2]]")
+
+
+def test_derive_builds_no_dual(entries, monkeypatch):
+    seed = entries["seed_10_6_3"].code()
+    x = BitVector.from01("0000011000")
+    child = construct(seed, x, classify_extension(seed, x)).child
+    codes = [LinearCode(e.matrix) for e in entries.values()] + [LinearCode(child.gen)]
+    want = [LinearCode(c.gen).dual().min_distance() for c in codes]
+
+    def refuse(m):
+        raise AssertionError("derive built a nullspace")
+
+    monkeypatch.setattr(gf2, "nullspace_basis", refuse)
+    assert [derive(c).dual_side.d for c in codes] == want
 
 
 def test_role_swap_duality(entries):

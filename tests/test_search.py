@@ -53,7 +53,7 @@ from hullforge.search import (
     iter_exhaustive,
     sweep_extensions,
 )
-from helpers import identity
+from helpers import identity, iter_codewords
 
 REP2 = LinearCode(BitMatrix.from_strings(["11"]))
 
@@ -1173,7 +1173,7 @@ def _dict_profiles(code: LinearCode):
     n = code.n
     unary = [dict() for _ in range(n)]
     pair = [[dict() for _ in range(n)] for _ in range(n)]
-    for bits in code.iter_codewords():
+    for bits in iter_codewords(code):
         w = bits.bit_count()
         if not w:
             continue
