@@ -1,20 +1,13 @@
 """Desk-scale searches: extension sweeps, exhaustive enumeration, equivalence.
 
-A sweep has two paths, compared in the tests and never merged.  The
-reference path builds each child with construct() and asks it for its
-parameters.  The fast path reads every child's distance and hull from
-tables of the seed (_coset_scan: Walsh-Hadamard weight classes and
-min-plus coset leaders; _rank3_table), writes each kept child's RREF in
-closed form from the seed's RREF (_child_echelon), checks its shape and
-Gram-rank hull, and renders the lines one chunk at a time
-(_sweep_chunks): the CLI writes them as they come, the library keeps a
-record per line whose x and rows are read back from it.  Exhaustive search
-runs the codeword kernel of code._codeword_chunks over lanes of sorted
-free blocks; the census enumerates nothing, walking the congruence
-classes of I + AA^T one column of A at a time (_census_walk), and checks
-each nonexistence that exhaustive search finds for h <= min(k, n-k).
-Equivalence search backtracks over column profiles of each code's
-cached codeword table.
+A sweep's reference path builds each child with construct(); its fast
+path reads every child's distance and hull from tables of the seed
+(_coset_scan, _rank3_table), writes each kept child's RREF in closed form
+(_child_echelon), checks it, and renders the lines a chunk at a time.
+Exhaustive search runs the codeword kernel over lanes of sorted free
+blocks, in floor passes from the Griesmer bound; the census walks the
+congruence classes of I + AA^T (_census_walk) and checks each
+nonexistence.  Equivalence search backtracks over column profiles.
 """
 
 from __future__ import annotations
@@ -66,11 +59,10 @@ _CLAIM_METHODS = ("sweep", "exhaustive", "corpus")
 
 @dataclass(frozen=True)
 class SweepRecord:
-    """One kept child of an extension sweep.  line is its SWEEP line when
-    the fast path rendered it, else None; it adds nothing to the other
-    fields, so equality, hashing and repr leave it out, and a line that is
-    not the fields' rendering (as after replace()) is dropped.  Fast-path
-    records read x and canonical_gen back from their line on first access."""
+    """One kept child of an extension sweep.  line is its SWEEP line, from
+    the fast path, or None; equality, hashing and repr leave it out, and a
+    line that is not the fields' rendering (as after replace()) is dropped.
+    Fast-path records read x and canonical_gen back from their line."""
 
     seed_id: str
     x: BitVector
@@ -165,13 +157,10 @@ def _check_sweep_cap(seed: LinearCode) -> None:
 
 
 def _distances_by_y(rows: tuple[int, ...], n: int):
-    """d2 and d1 for every y in F_2^k, from the weight classes of the code.
-
-    With W[u] = wt(uG), the Walsh-Hadamard transform F of the indicator
-    rows [W == w] gives the counts (A_w + F)/2 and (A_w - F)/2 of the
-    weight-w codewords with y.u = 0 and y.u = 1; M_e(y) is the least weight
-    present with y.u = e, and d2 = min(M_0, M_1 + 2), d1 = min(M_0, M_1 + 1).
-    """
+    """d2 and d1 for every y in F_2^k.  The Walsh-Hadamard transform F of
+    the rows [wt(uG) == w] counts the weight-w codewords with y.u = 0 and
+    1, (A_w + F)/2 and (A_w - F)/2; M_e(y) is the least weight present with
+    y.u = e, and d2 = min(M_0, M_1 + 2), d1 = min(M_0, M_1 + 1)."""
     k = len(rows)
     words = np.zeros(1 << k, dtype=_lane_dtype(n))
     for i, r in enumerate(rows):  # words[u] = uG, by doubling
@@ -216,18 +205,11 @@ def _coset_leader_weights(reduced: list[int], n: int) -> np.ndarray:
 
 
 def _coset_scan(seed: LinearCode):
-    """Per-x child data for all 2^n extension vectors, from class tables.
-
-    Child distances come from the row assembly: a child codeword is a
-    seed codeword m = uG with two prefix coordinates determined by the
-    top row, so the minimum splits into a no-top branch and a with-top
-    branch.  The no-top minima d2 and d1 depend on x only through
-    y = x G^T (ypack) and are tabulated per y; the with-top minimum dt
-    and the coset weight dc are coset-leader weights L_y(b, x) of the
-    length-(n+1) code D_y = {(y.u | uG)}: dt = 1 + L_y(1, x) and
-    dc = min(L_y(0, x), L_y(1, x)).  Returns (d_topless2, d_topless1,
-    d_top, coset_min, ypack, odd) as numpy arrays indexed by x.
-    """
+    """(d2, d1, dt, dc, ypack, odd) indexed by x, for all 2^n x.  A child
+    codeword is a seed codeword uG under two prefix bits set by the top
+    row.  Without the top row, d2 and d1 depend on y = x G^T only (ypack);
+    with it, dt = 1 + L_y(1, x), and the coset weight is dc = min(L_y(0, x),
+    L_y(1, x)), L_y being the coset-leader weights of D_y = {(y.u | uG)}."""
     n, k = seed.n, seed.k
     rows = seed.canonical_gen().row_bits
     d2y, d1y = _distances_by_y(rows, n)
@@ -268,12 +250,9 @@ def _rank3_table(gram_rows: tuple[int, ...]) -> np.ndarray:
 
 
 def sweep_children(seed: LinearCode):
-    """Fast path: flat arrays over all 2^n extension vectors x.
-
-    (d10, d11, dc, h3, ypack, odd): child d under top row (1 0 | x), for
-    I and IV, and under (1 1 | x), for II and III; the coset weight of x;
-    the III child's hull k + 1 - rank(Gc + y y^T); y = x G^T; and x.x.
-    """
+    """(d10, d11, dc, h3, ypack, odd) over all 2^n x: child d under top
+    row (1 0 | x), for I and IV, and (1 1 | x), for II and III; the coset
+    weight of x; the III child's hull; y = x G^T; and x.x."""
     _check_sweep_cap(seed)
     d2, d1, dt, dc, ypack, odd = _coset_scan(seed)
     rank3 = _rank3_table(gram(seed.canonical_gen()).row_bits)
@@ -330,12 +309,10 @@ def _child_echelon(seed_rows: tuple[int, ...], xs, ys, top, body) -> np.ndarray:
 
 
 def _kept_children(seed: LinearCode, target_h: int, min_d: int, kinds):
-    """Fast path: x by masks over sweep_children's arrays (III by its h3,
-    I/II/IV by predicted_hull), and each kept child's RREF in closed form
-    (_child_echelon).  The rows must be k + 1 with ascending pivots, each
-    zero at the others' pivots, and the hull k + 1 - rank of their Gram
-    matrix must match the kernel and the claim.
-    Returns x, kind index, d and the (records, k+1) echelon rows per record."""
+    """x, kind index, d and the (records, k+1) RREF rows of each kept child
+    (_child_echelon).  The rows must be k + 1 reduced ones with ascending
+    pivots, and the hull from their Gram rank must match the kernel and
+    the claim."""
     n, k, ell = seed.n, seed.k, seed.hull_dim()
     d10, d11, _dc, h3, ypack, odd = sweep_children(seed)
     even = ~odd
@@ -379,10 +356,8 @@ def _kept_children(seed: LinearCode, target_h: int, min_d: int, kinds):
 
 
 def _sweep_chunks(seed: LinearCode, sid: str, target_h: int, min_d: int, kinds):
-    """The fast path's output, RENDER_CHUNK records at a time: each
-    record's (kind index, d) and its line.  The kernel's arrays are freed
-    and every check of _kept_children has passed before the first chunk,
-    and one chunk's text is alive at once."""
+    """(kind index, d) and line of each record, RENDER_CHUNK at a time,
+    every check passed before the first chunk."""
     xs, ks, ds, canon = _kept_children(seed, target_h, min_d, kinds)
     for s in range(0, len(xs), RENDER_CHUNK):
         part = slice(s, s + RENDER_CHUNK)
@@ -409,10 +384,7 @@ def _bit_text(words: np.ndarray, width: int) -> np.ndarray:
 
 def _render_lines(sid: str, n: int, h: int, xs, keys: list, canon) -> list[str]:
     """format_sweep_record's line for each record, keys[j] being its
-    (kind index, d): the bits of x and of the child rows, a comma slot
-    after each row, become ASCII and decode at once, and each line joins
-    its fixed-width slices with the prefix and a middle cached per
-    (kind, d)."""
+    (kind index, d): fixed-width slices of one decoded ASCII block."""
     count, k1 = canon.shape
     n2, step = n + 2, k1 * (n + 3)
     xtext = _bit_text(xs, n).tobytes().decode()
@@ -448,13 +420,9 @@ def sweep_extensions(
     seed_id: str | None = None,
     engine: str = "auto",
 ) -> list[SweepRecord]:
-    """Try every length-n extension vector and keep the wanted children.
-
-    For each of the 2^n vectors x, every requested construction whose
-    precondition x satisfies is applied; a record is kept when the
-    child has hull dimension target_h and distance at least min_d.
-    Order is deterministic: x ascending as an integer, then kind.
-    """
+    """Every requested construction at each of the 2^n vectors x that
+    meets its precondition, keeping children of hull dimension target_h
+    and distance at least min_d, x ascending as an integer, then kind."""
     kinds, sid = _check_sweep(seed, target_h, min_d, kinds, seed_id, engine)
     if engine == "auto":
         return _sweep_records(seed, sid, target_h, min_d, kinds)
@@ -491,12 +459,8 @@ def best_by_sweep(
     target_h: int,
     kinds: Sequence[ConstructionKind] | None = None,
 ) -> OptimalityClaim:
-    """Best child distance over all seeds, extension vectors, and constructions.
-
-    Sweeps never prove optimality on their own, so the claim status is
-    always lower_bound.  Ties on distance are broken toward the
-    row-wise lexicographically smallest reduced generator.
-    """
+    """Best child distance over all seeds, vectors and constructions, a
+    lower_bound claim; ties go to the row-wise least reduced generator."""
     _check_sizes(target_h=target_h)
     seeds = list(seeds)
     if not seeds:
@@ -563,13 +527,8 @@ def _candidate_rows(candidate: int, k: int, m: int) -> tuple[int, ...]:
 
 
 def iter_exhaustive(n: int, k: int, h: int, cap: int | None = None) -> Iterator[LinearCode]:
-    """Reference path: every systematic generator with hull dimension h.
-
-    One code per free block, not deduplicated by equivalence.  Every
-    code has an information set, so up to coordinate permutation this
-    ranges over all [n, k] codes, and hull dimension and distance are
-    permutation-invariant.
-    """
+    """Reference path: every systematic generator with hull dimension h,
+    one per free block: up to coordinate order, every [n, k] code."""
     _check_sizes(n=n, k=k, h=h, cap=cap)
     _check_exhaustive_cap(n, k, cap)
     m = n - k
@@ -661,12 +620,8 @@ def _min_distances(rows: list[np.ndarray]) -> np.ndarray:
 
 def _sorted_table(r: int, size: int, dtype) -> tuple[list[np.ndarray], np.ndarray]:
     """Every non-decreasing r-tuple over range(size), in lexicographic
-    order, as r row arrays; above[v] counts the tuples starting at v or
-    higher.
-
-    The tuples starting at v are v followed by the last above[v] tuples
-    one entry shorter, so each added row costs one gather.
-    """
+    order, as r row arrays; above[v] counts those starting at v or higher,
+    which are v before the last above[v] tuples one entry shorter."""
     values = np.arange(size, dtype=dtype)
     rows, above = [values], np.arange(size, 0, -1)
     for _ in range(r - 1):
@@ -677,30 +632,30 @@ def _sorted_table(r: int, size: int, dtype) -> tuple[list[np.ndarray], np.ndarra
     return rows, above
 
 
-def _sorted_free_blocks(k: int, m: int) -> Iterator[list[np.ndarray]]:
-    """Every free block with rows a_0 <= a_1 <= ... <= a_{k-1}, each an
-    m-bit integer, in lexicographic order with a_0 most significant.
+def _sorted_blocks(k: int, size: int, dtype, values=None, strict: int = 0) -> Iterator[list]:
+    """Every non-decreasing k-tuple i over range(size), in lexicographic
+    order and chunks of at most 2^CHUNK_BITS lanes; given values, entry t
+    reads values[i_t + strict t].  Index heads come from this generator,
+    each followed by the last above[v] tuples of one _sorted_table, v its
+    last entry (range(size) itself for one row), mapped once."""
+    def lift(t, row):  # the entry at tuple position t
+        return row if values is None else values[strict * t :].take(row)
 
-    Yields chunks of at most 2^CHUNK_BITS lanes, one array per row:
-    C(2^m + k - 1, k) lanes in all.  The last r rows come from one table
-    of sorted r-tuples, with r as large as one chunk holds; the first
-    k - r rows, the heads, come from this generator.  A head ending in v
-    is followed by the table's last above[v] tuples, those starting at v
-    or higher.  A one-row table is range(2^m) itself and is never built.
-    Called as (m, k) it yields the sorted columns of A, k-bit keys.
-    """
-    size, limit = 1 << m, 1 << CHUNK_BITS
-    dtype = _lane_dtype(m)
+    limit = 1 << CHUNK_BITS
     r = k
     while r > 1 and comb(size + r - 1, r) > limit:
         r -= 1
-    table, above = _sorted_table(r, size, dtype) if r > 1 else (None, None)
-    if table is not None and r == k:
+    if r > 1:
+        table, above = _sorted_table(r, size, dtype)
+    else:
+        table, above = [np.arange(size, dtype=dtype)], None
+    table = [lift(t, row) for t, row in enumerate(table, k - r)]
+    if r == k and len(table[0]) <= limit:
         yield table
         return
-    for head in _sorted_free_blocks(k - r, m) if k > r else [[]]:
+    for head in _sorted_blocks(k - r, size, dtype) if k > r else [[]]:
         last = head[-1].astype(np.int64) if head else np.zeros(1, dtype=np.int64)
-        if table is None:
+        if above is None:
             counts, starts = size - last, last
         else:
             counts = above[last]
@@ -712,20 +667,40 @@ def _sorted_free_blocks(k: int, m: int) -> Iterator[list[np.ndarray]]:
             g1 = min(g0 + limit, total)
             j0 = int(np.searchsorted(ends, g0, side="right"))
             j1 = int(np.searchsorted(ends, g1 - 1, side="right")) + 1
-            lens = np.minimum(ends[j0:j1], g1) - np.maximum(
-                ends[j0:j1] - counts[j0:j1], g0
-            )
+            lens = np.minimum(ends[j0:j1], g1) - np.maximum(ends[j0:j1] - counts[j0:j1], g0)
             idx = np.repeat(shift[j0:j1], lens)
             idx += np.arange(g0, g1)
-            tail = [idx.astype(dtype)] if table is None else [row[idx] for row in table]
-            yield [np.repeat(row[j0:j1], lens) for row in head] + tail
+            heads = [np.repeat(lift(t, row[j0:j1]), lens) for t, row in enumerate(head)]
+            yield heads + [row[idx] for row in table]
 
 
-def _by_columns(k: int, m: int) -> bool:
+def _sorted_free_blocks(k: int, m: int, floor: int = 1) -> Iterator[list[np.ndarray]]:
+    """The free blocks a_0 <= ... <= a_{k-1} of m-bit rows that a code of
+    distance `floor` can use, in lexicographic order, a_0 most significant.
+
+    e_i + a_i weighs 1 + wt(a_i), so every row weighs at least floor - 1;
+    e_i + e_j + a_i + a_j weighs 2 + wt(a_i ^ a_j), so from floor 3 the
+    rows differ.  Over the s allowed values, ascending, a strictly
+    increasing tuple i_t is the non-decreasing tuple i_t - t over
+    range(s - k + 1), C(s, k) lanes; below floor 3, C(s + k - 1, k).
+    Called as (m, k) it yields the sorted columns of A, k-bit keys.
+    """
+    dtype = _lane_dtype(m)
+    if floor < 2:
+        return _sorted_blocks(k, 1 << m, dtype)
+    values = np.arange(1 << m, dtype=dtype)
+    values = values[np.bitwise_count(values) >= floor - 1]
+    strict = int(floor > 2)
+    size = len(values) - strict * (k - 1)
+    return _sorted_blocks(k, size, dtype, values, strict) if size > 0 else iter(())
+
+
+def _by_columns(k: int, m: int) -> tuple[bool, bool]:
     """Whether to enumerate the C(2^k + m - 1, m) sorted columns of A
-    instead of its C(2^m + k - 1, k) sorted rows, after the row side's
-    refusals: when k < m and the rows fill more than a sixteenth of a
-    chunk, above the measured break-even of 8,256 to 32,896 row lanes."""
+    instead of its C(2^m + k - 1, k) sorted rows, and whether the row side
+    runs in floor passes, after the row side's refusals.  Either needs the
+    rows to fill more than a sixteenth of a chunk, the measured break-even
+    of 8,256 to 32,896 row lanes; the columns take k < m."""
     _lane_dtype(m)
     if m:
         _lane_dtype(k)
@@ -735,16 +710,24 @@ def _by_columns(k: int, m: int) -> bool:
             f"C(2^{m}+{k}-1, {k}) sorted free blocks overflow 64-bit lane indices",
             limit=63, requested=lanes.bit_length(),
         )
-    return k < m and lanes > 1 << CHUNK_BITS >> 4
+    big = lanes > 1 << CHUNK_BITS >> 4
+    return k < m and big, k >= m and big
+
+
+def _griesmer(n: int, k: int) -> int:
+    """The largest d with sum_{i<k} ceil(d / 2^i) <= n: no binary [n, k]
+    code has a larger distance (Griesmer, 1960)."""
+    d = 1
+    while sum(-(-(d + 1) >> i) for i in range(k)) <= n:
+        d += 1
+    return d
 
 
 def _least_block(cols: list[np.ndarray], k: int, m: int) -> tuple[int, ...]:
-    """The least (a_0, ..., a_{k-1}) over the given column lanes, bit i of
-    a key being row i, and every order of their columns: the columns
-    sorted by key, row 0 most significant, the largest at bit 0, since
-    a_0 is compared first and its ones go lowest, then a_1's, and so on.
-    Each block is packed a_0 first into one k m-bit integer, which is
-    what the spread keys add up to."""
+    """The least (a_0, ..., a_{k-1}) over the column lanes (bit i of a key
+    is row i) and every order of their columns: keys ascending, the largest
+    at bit 0, as a_0 is compared first and its ones go lowest.  Blocks pack
+    a_0 first into one k m-bit integer, the sum of the spread keys."""
     packed = np.uint64 if k * m <= 64 else object
     codes = np.arange(1 << k)
     spread = sum((codes >> i & 1).astype(packed) << (k - 1 - i) * m for i in range(k))
@@ -801,42 +784,12 @@ def hull_census(n: int, k: int, cap: int | None = None) -> dict[int, int]:
     return _census_walk(k, m)
 
 
-def exhaustive_codes(
-    n: int, k: int, h: int, d_floor: int | None = None, cap: int | None = None
-) -> OptimalityClaim:
-    """Settle the (n, k, h) cell over every systematic generator [I | A].
-
-    Returns status h_optimal with the max-d witness whose generator is
-    row-wise lexicographically smallest when codes with hull dimension h
-    exist (and meet d_floor if given), else nonexistence; one found for
-    h <= min(k, n-k) is checked against hull_census's count.
-
-    Row orders of A give equivalent codes, so only blocks with sorted rows
-    are visited, C(2^m + k - 1, k) lanes for m = n - k, in lexicographic
-    order: the first max-d lane is the witness.  When _by_columns, sorted
-    columns are visited instead; the max-d blocks are closed under row and
-    column orders, so the witness is the least block over the column
-    orders of the max-d lanes (_least_block).  Distances come from
-    code._codeword_chunks over the kept lanes, so the 2^k messages per
-    lane fall under the enumeration cap.
-    """
-    _check_sizes(n=n, k=k, h=h, d_floor=d_floor, cap=cap)
-    _check_exhaustive_cap(n, k, cap)
-    m = n - k
-    if m == 0:
-        # only the full space [n, n]: hull dimension 0, distance 1
-        if h == 0 and (d_floor is None or d_floor <= 1):
-            return OptimalityClaim(
-                n, k, h, 1, "h_optimal", BitMatrix(n, _candidate_rows(0, k, 0)), "exhaustive"
-            )
-        return OptimalityClaim(n, k, h, 0, "nonexistence", None, "exhaustive")
-    if h > min(k, m):  # the hull is a subcode of both C and its dual
-        return OptimalityClaim(n, k, h, 0, "nonexistence", None, "exhaustive")
-
-    by_columns = _by_columns(k, m)
-    best_d = 0
-    best_free = None
-    for words in _sorted_free_blocks(m, k) if by_columns else _sorted_free_blocks(k, m):
+def _best_lane(blocks, by_columns: bool, k: int, m: int, h: int):
+    """The max d over the lanes with hull dimension h, 0 if none, and its
+    witness block: the first max-d row lane, or _least_block over the
+    column orders of the max-d column lanes."""
+    best_d, best_free = 0, None
+    for words in blocks:
         rows = _transpose_lanes(words, k) if by_columns else words
         keep = _hull_dims(rows, k, m) == h
         if not keep.any():
@@ -853,8 +806,56 @@ def exhaustive_codes(
             free = tuple(int(r[at]) for r in rows)
         if top > best_d or free < best_free:
             best_d, best_free = top, free
+    return best_d, best_free
 
-    if best_free is None and (blocks := _census_walk(int(k), int(m)).get(h)):
+
+def exhaustive_codes(
+    n: int, k: int, h: int, d_floor: int | None = None, cap: int | None = None
+) -> OptimalityClaim:
+    """Settle the (n, k, h) cell over every systematic generator [I | A].
+
+    Returns status h_optimal with the max-d witness whose generator is
+    row-wise lexicographically smallest when codes with hull dimension h
+    exist (and meet d_floor if given), else nonexistence; one found for
+    h <= min(k, n-k) is checked against hull_census's count.
+
+    Row orders of A give equivalent codes, so only blocks with sorted rows
+    are visited, in lexicographic order: the first max-d lane is the
+    witness.  Past _by_columns' break-even they are visited in passes at
+    floors d0 from the Griesmer bound down, each over the blocks that can
+    reach d0, which hold every lane with d >= d0 in the same order.  A
+    pass finding d >= d0 settles the cell; one finding a lesser best d is
+    followed by one last pass at floor d, one finding no hull-h lane by
+    the floor below (the even one when h = k), so a nonexistence ends in
+    the full pass.  When _by_columns, sorted columns are visited, and the
+    witness is _least_block's (the max-d blocks are closed under row and
+    column orders).  The 2^k messages per lane fall under the cap.
+    """
+    _check_sizes(n=n, k=k, h=h, d_floor=d_floor, cap=cap)
+    _check_exhaustive_cap(n, k, cap)
+    k, m = int(k), int(n - k)
+    if m == 0:
+        # only the full space [n, n]: hull dimension 0, distance 1
+        if h == 0 and (d_floor is None or d_floor <= 1):
+            return OptimalityClaim(
+                n, k, h, 1, "h_optimal", BitMatrix(n, _candidate_rows(0, k, 0)), "exhaustive"
+            )
+        return OptimalityClaim(n, k, h, 0, "nonexistence", None, "exhaustive")
+    if h > min(k, m):  # the hull is a subcode of both C and its dual
+        return OptimalityClaim(n, k, h, 0, "nonexistence", None, "exhaustive")
+
+    by_columns, passes = _by_columns(k, m)
+    floor = _griesmer(n, k) if passes else 1
+    while True:
+        lanes = _sorted_free_blocks(m, k) if by_columns else _sorted_free_blocks(k, m, floor)
+        best_d, best_free = _best_lane(lanes, by_columns, k, m, h)
+        if best_d >= floor or floor == 1:
+            break
+        floor = best_d or floor - 1  # one last pass at the d found, else a floor down
+        if h == k and floor > 1 and floor & 1:  # C lies in its dual: every weight is even
+            floor -= 1
+
+    if best_free is None and (blocks := _census_walk(k, m).get(h)):
         msg = f"no lane has hull dimension {h}, but the census counts {blocks} blocks"
         raise ClaimViolationError(f"exhaustive ({n},{k},{h}): {msg}")
     if best_free is None or (d_floor is not None and best_d < d_floor):
@@ -868,13 +869,8 @@ def exhaustive_codes(
 
 
 def _column_profiles(code: LinearCode):
-    """Per-column and per-column-pair codeword counts by weight.
-
-    pair[i][j][w] counts the weight-w codewords whose support holds
-    columns i and j: for every w at once that is P_w = B_w^T B_w over the
-    0/1 matrix B_w of the weight-w codewords.  sig[i] is the diagonal,
-    the weight-w codewords holding column i.
-    """
+    """pair[i][j][w], the weight-w codewords holding columns i and j,
+    B_w^T B_w over the 0/1 matrix B_w of them; sig[i] = pair[i][i]."""
     n = code.n
     prof = np.zeros((n + 1, n, n))  # float64 sums are exact below 2^53
     for words in code._codewords():
@@ -896,17 +892,11 @@ def _column_profiles(code: LinearCode):
 def are_equivalent(
     a: LinearCode, b: LinearCode, node_cap: int = NODE_CAP
 ) -> EquivalenceVerdict:
-    """Decide whether a column permutation carries a onto b.
-
-    Fast-rejects on weight distribution or hull dimension, then
-    backtracks over column assignments constrained by per-column and
-    per-column-pair codeword counts by weight (_column_profiles, one
-    NumPy pass over each code's codewords).  A full assignment is
-    accepted when every permuted row of a has syndrome 0 under b's
-    parity checks: the permuted code then lies in b and has its
-    dimension, so it is b.  A capped search returns equivalent=None
-    (undecided) instead of guessing.
-    """
+    """Decide whether a column permutation carries a onto b: backtracking
+    over assignments that keep _column_profiles, after fast rejects.  A
+    full assignment is accepted when every permuted row of a has syndrome
+    0 under b (so the image, of b's dimension, is b); a search past
+    node_cap returns equivalent=None."""
     if a.n != b.n or a.k != b.k:
         raise DimensionError(
             f"cannot compare [{a.n},{a.k}] against [{b.n},{b.k}]"

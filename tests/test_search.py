@@ -529,7 +529,7 @@ def _sorted_block_census(n, k):
     sorted block of rows counts for its k! / prod(mult_j!) row orders, or,
     when _by_columns, each sorted block of columns for its column orders."""
     m = n - k
-    by_columns = search._by_columns(k, m)
+    by_columns, _ = search._by_columns(k, m)
     counts = [0] * (min(k, m) + 1)
     for words in search._sorted_free_blocks(*((m, k) if by_columns else (k, m))):
         rows = search._transpose_lanes(words, k) if by_columns else words
@@ -698,6 +698,8 @@ def test_floors_may_be_none_or_zero():
 
 def test_numpy_integer_sizes_are_accepted():
     assert exhaustive_codes(np.int64(5), np.int64(2), np.int64(1)) == exhaustive_codes(5, 2, 1)
+    n, k, h, cap = map(np.int64, (10, 5, 2, 25))  # past the break-even: floor passes
+    assert exhaustive_codes(n, k, h, cap=cap) == exhaustive_codes(10, 5, 2, cap=25)
     assert hull_census(np.int64(5), 2) == hull_census(5, 2)
     assert sweep_extensions(REP2, np.int64(2)) == sweep_extensions(REP2, 2)
 
@@ -813,6 +815,78 @@ def test_sorted_free_blocks_in_lex_order(k, m, chunk_bits):
     assert lanes == want
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 5), st.integers(0, 6), st.integers(0, 7))
+def test_sorted_free_blocks_at_a_floor(k, m, chunk_bits, floor):
+    # a pass keeps the full pass's lanes whose rows all weigh floor - 1 or
+    # more, strictly increasing from floor 3, in the same order
+    assume(comb((1 << m) + k - 1, k) <= 600)
+    want = [
+        t
+        for t in itertools.combinations_with_replacement(range(1 << m), k)
+        if min(v.bit_count() for v in t) >= floor - 1 and (floor < 3 or len(set(t)) == k)
+    ]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "CHUNK_BITS", chunk_bits)
+        lanes = []
+        for chunk in search._sorted_free_blocks(k, m, floor):
+            assert len(chunk) == k and 1 <= chunk[0].size <= 1 << chunk_bits
+            lanes.extend(zip(*(row.tolist() for row in chunk)))
+    assert lanes == want
+
+
+def _pass_floors(monkeypatch):
+    """Record the floor of every _sorted_free_blocks call (1 on the column side)."""
+    floors = []
+    real = search._sorted_free_blocks
+
+    def spy(k, m, floor=1):
+        floors.append(floor)
+        return real(k, m, floor)
+
+    monkeypatch.setattr(search, "_sorted_free_blocks", spy)
+    return floors
+
+
+def test_exhaustive_descends_from_the_griesmer_bound(monkeypatch):
+    floors = _pass_floors(monkeypatch)
+    # [12,7] codes reach the bound 4: the first pass settles the cell
+    assert exhaustive_codes(12, 7, 1, cap=35).d_best == 4
+    assert floors == [4]
+    # the bound for [10,5] is 4, but hull-2 lanes reach 3: one last pass at 3
+    floors.clear()
+    assert exhaustive_codes(10, 5, 2, cap=25).d_best == 3
+    assert floors == [4, 3]
+    floors.clear()
+    claim = exhaustive_codes(10, 5, 2, d_floor=4, cap=25)
+    assert (claim.status, claim.d_best, claim.witness) == ("nonexistence", 3, None)
+    assert floors == [4, 3]
+    # a hull of dimension k makes every weight even: from 4 down to 2
+    floors.clear()
+    assert exhaustive_codes(10, 5, 5, cap=25).d_best == 2
+    assert floors == [4, 2]
+    # below the break-even of 2^14 row lanes, one full pass
+    floors.clear()
+    exhaustive_codes(8, 4, 2)
+    assert floors == [1]
+    # no hull-h lane in any pass: a floor down each time, ending in the
+    # full pass that the census cross-checks
+    floors.clear()
+    monkeypatch.setattr(search, "_hull_dims", lambda rows, k, m: np.full(rows[0].shape, 9, np.uint8))
+    with pytest.raises(ClaimViolationError, match=r"exhaustive \(10,5,2\)"):
+        exhaustive_codes(10, 5, 2, cap=25)
+    assert floors == [4, 3, 2, 1]
+
+
+@pytest.mark.parametrize(
+    "n, k, d",
+    [(1, 1, 1), (3, 1, 3), (7, 4, 3), (8, 4, 4), (10, 5, 4), (12, 6, 4), (13, 7, 4), (24, 12, 8)],
+)
+def test_griesmer_bound(n, k, d):
+    assert search._griesmer(n, k) == d
+    assert sum(-(-d // (1 << i)) for i in range(k)) <= n < sum(-(-(d + 1) // (1 << i)) for i in range(k))
+
+
 def _gray_min_distances(rows):
     """The per-lane Gray loop _min_distances replaced, kept as its oracle
     without the pruning it ran only when given a floor: 2^k - 1 steps,
@@ -859,7 +933,10 @@ def test_min_distances_match_gray_loop(block, chunk_bits):
     np.testing.assert_array_equal(got, want)
 
 
-def test_exhaustive_claim_bytes():
+CLAIM_DIGEST = "6558f12c515e01df38d768afc9b8c27083f6ed706fb3f399d67ff6ab9a611cb2"
+
+
+def _claim_digest():
     # every in-cap cell up to n = 13 and one h past min(k, n - k)
     claims = [
         format_claim(exhaustive_codes(n, k, h))
@@ -869,8 +946,20 @@ def test_exhaustive_claim_bytes():
         for h in range(min(k, n - k) + 2)
     ]
     assert len(claims) == 234
-    digest = hashlib.sha256("\n".join(claims).encode()).hexdigest()
-    assert digest == "6558f12c515e01df38d768afc9b8c27083f6ed706fb3f399d67ff6ab9a611cb2"
+    return hashlib.sha256("\n".join(claims).encode()).hexdigest()
+
+
+def test_exhaustive_claim_bytes():
+    assert _claim_digest() == CLAIM_DIGEST
+
+
+def test_exhaustive_claim_bytes_in_floor_passes(monkeypatch):
+    # 2^8-lane chunks put the break-even at 16 row lanes, so every row-side
+    # cell past it runs in floor passes, and the claims stay byte-identical
+    monkeypatch.setattr(search, "CHUNK_BITS", 8)
+    floors = _pass_floors(monkeypatch)
+    assert _claim_digest() == CLAIM_DIGEST
+    assert {2, 3, 4} <= set(floors)
 
 
 def test_census_bytes():
@@ -918,7 +1007,7 @@ def test_exhaustive_column_side_matches_oracle(shape, chunk_bits, data):
     h = data.draw(st.integers(0, min(k, m) + 1), label="h")
     with pytest.MonkeyPatch.context() as mp:
         chunks = _column_chunks(mp, chunk_bits)
-        assert search._by_columns(k, m)
+        assert search._by_columns(k, m) == (True, False)
         claim = exhaustive_codes(k + m, k, h)
     if h <= k:
         _check_column_chunks(chunks, k, m, chunk_bits)
@@ -1366,7 +1455,8 @@ def test_batch_lines_match_the_fstring(seed, kinds, lift, min_d, seed_id, chunk)
         assert bare.line is None and format_sweep_record(bare) == rec.line
         assert bare == rec and hash(bare) == hash(rec)
         assert dataclasses.replace(rec, line="other") == rec
-    assert "line" not in repr(recs[:1])
+    # a seed id may itself read "line", so compare with the line-less repr
+    assert repr(recs[:1]) == repr([dataclasses.replace(r, line=None) for r in recs[:1]])
 
 
 def test_replace_drops_a_stale_line(seed_10_6_3):
