@@ -1,18 +1,18 @@
 """Lengthening constructions: [n,k] with hull dimension l to [n+2,k+1].
 
-Four variants, selected by the self-product of the extension vector x
-and by the derived vector y (y_i = x · r_i over the generator rows):
+Four variants, selected by x·x and by y (y_i = x · r_i over the
+generator rows):
 
   I   x·x = 1            child hull l+1
   II  x·x = 0, y = 0     child hull l+1
   III x·x = 0, y != 0    child hull in {l, l+1, l+2}
   IV  x·x = 0 (explicit) child hull l
 
-construct(c, x, kind) builds all four: it prepends two coordinates and
-one generator row, and carries an explicit parity-check matrix for the
-child.  II and III are the same matrix shape; they are kept apart
-because they predict different hull dimensions, and construct() checks
-the split, as it checks x·x, before _assemble writes the rows.
+construct(c, x, kind) checks x against the kind, then _assemble prepends
+two coordinates and one generator row and writes the child's parity
+check.  II and III share a shape but predict different hulls.  The child
+skips LinearCode's elimination; its rank is checked by reducing the top
+row against the seed's echelon, and its hull is read off its own rows.
 """
 
 from __future__ import annotations
@@ -97,11 +97,8 @@ def _check_kind(kind) -> ConstructionKind:
 
 
 def admissible_distances(d: int, w: int, kind: ConstructionKind) -> frozenset:
-    """Candidate minimum distances of the lengthened code.
-
-    d is the seed distance, w the coset weight of x.  The result holds
-    one to three values; the child distance always lands in it.
-    """
+    """The one to three candidate distances of the child, for seed
+    distance d and coset weight w of x; the child distance lands in it."""
     _check_kind(kind)
     if kind in (ConstructionKind.I, ConstructionKind.IV):
         # no-top child codewords weigh wt(m) + 2(x.m), so their minimum
@@ -116,21 +113,11 @@ def admissible_distances(d: int, w: int, kind: ConstructionKind) -> frozenset:
 
 
 class BuildResult:
-    """Child code, explicit parity check, and hull/distance bookkeeping.
+    """Child code, explicit parity check, and hull/distance bookkeeping:
+    the hull is checked at once, the distance (an enumeration) on first access."""
 
-    Hull facts are checked eagerly; distance facts are enumeration-backed
-    and therefore computed only on first access.
-    """
-
-    def __init__(
-        self,
-        seed: LinearCode,
-        kind: ConstructionKind,
-        ext: ExtensionVector,
-        child: LinearCode,
-        parity_check: BitMatrix,
-        predicted_hull: frozenset,
-    ):
+    def __init__(self, seed: LinearCode, kind: ConstructionKind, ext: ExtensionVector,
+                 child: LinearCode, parity_check: BitMatrix, predicted_hull: frozenset):
         self.seed = seed
         self.kind = kind
         self.extension = ext
@@ -139,10 +126,8 @@ class BuildResult:
         self.predicted_hull = predicted_hull
         self.actual_hull = child.hull_dim()
         if self.actual_hull not in predicted_hull:
-            raise ClaimViolationError(
-                f"construction {kind}: child hull {self.actual_hull} "
-                f"outside predicted {sorted(predicted_hull)}"
-            )
+            raise ClaimViolationError(f"construction {kind}: child hull {self.actual_hull} "
+                                      f"outside predicted {sorted(predicted_hull)}")
 
     @cached_property
     def coset_weight(self) -> int:
@@ -150,25 +135,19 @@ class BuildResult:
 
     @cached_property
     def distance_prediction(self) -> frozenset:
-        return admissible_distances(
-            self.seed.min_distance(), self.coset_weight, self.kind
-        )
+        return admissible_distances(self.seed.min_distance(), self.coset_weight, self.kind)
 
     @cached_property
     def actual_distance(self) -> int:
         d = self.child.min_distance()
         if d not in self.distance_prediction:
-            raise ClaimViolationError(
-                f"construction {self.kind}: child distance {d} outside "
-                f"predicted {sorted(self.distance_prediction)}"
-            )
+            raise ClaimViolationError(f"construction {self.kind}: child distance {d} outside "
+                                      f"predicted {sorted(self.distance_prediction)}")
         return d
 
     def __repr__(self) -> str:
-        return (
-            f"BuildResult({self.kind}, [{self.child.n},{self.child.k}], "
-            f"hull {self.actual_hull})"
-        )
+        c = self.child
+        return f"BuildResult({self.kind}, [{c.n},{c.k}], hull {self.actual_hull})"
 
 
 def predicted_hull(kind: ConstructionKind, ell: int) -> frozenset:
@@ -194,19 +173,17 @@ def _assemble(seed: LinearCode, ext: ExtensionVector, kind: ConstructionKind) ->
     x, y, z = ext.x.bits, ext.y.bits, ext.z.bits
     g_top, g_body, h_top, h_body = _HEADS[kind]
     rows, checks = seed.gen.row_bits, seed.parity_check().row_bits if k < n else ()
-    gen_rows = [g_top | x << 2] + [(y >> i & 1) * g_body | r << 2 for i, r in enumerate(rows)]
-    h_rows = [h_top | x << 2] + [(z >> j & 1) * h_body | s << 2 for j, s in enumerate(checks)]
-    child = LinearCode(BitMatrix(n + 2, tuple(gen_rows)))
-    if child.k != k + 1:  # k + 1 rows: rank k + 1 means none was dropped
-        raise ClaimViolationError(f"construction {kind}: child rank {child.k}, not {k + 1}")
-    return BuildResult(
-        seed=seed,
-        kind=kind,
-        ext=ext,
-        child=child,
-        parity_check=BitMatrix(n + 2, tuple(h_rows)),
-        predicted_hull=predicted_hull(kind, seed.hull_dim()),
-    )
+    gen_rows = (g_top | x << 2, *[(y >> i & 1) * g_body | r << 2 for i, r in enumerate(rows)])
+    h_rows = (h_top | x << 2, *[(z >> j & 1) * h_body | s << 2 for j, s in enumerate(checks)])
+    # Below the head the body rows are the seed's independent rows, so the
+    # top row can only depend on them if its tail lies in the seed's code.
+    if not gf2._reduce_against(seed._echelon, gen_rows[0] >> 2):
+        got = gf2.rank(BitMatrix(n + 2, gen_rows))
+        if got != k + 1:
+            raise ClaimViolationError(f"construction {kind}: child rank {got}, not {k + 1}")
+    child = LinearCode._of_basis(gf2._matrix(n + 2, gen_rows))
+    return BuildResult(seed, kind, ext, child, gf2._matrix(n + 2, h_rows),
+                       predicted_hull(kind, seed.hull_dim()))
 
 
 def construct(c: LinearCode, x: BitVector, kind: ConstructionKind) -> BuildResult:
@@ -216,41 +193,28 @@ def construct(c: LinearCode, x: BitVector, kind: ConstructionKind) -> BuildResul
     ext = ExtensionVector.bind(c, x)
     want = int(kind is ConstructionKind.I)
     if ext.self_product != want:
-        raise WrongParityError(
-            f"construction {kind} needs x·x = {want}, got {ext.self_product}"
-        )
+        raise WrongParityError(f"construction {kind} needs x·x = {want}, got {ext.self_product}")
     if kind is ConstructionKind.II and not ext.y.is_zero():
-        raise WrongConstructionError(
-            "x is not orthogonal to the code (y != 0); use construction III"
-        )
+        msg = "x is not orthogonal to the code (y != 0); use construction III"
+        raise WrongConstructionError(msg)
     if kind is ConstructionKind.III and ext.y.is_zero():
-        raise WrongConstructionError(
-            "x is orthogonal to the code (y = 0); use construction II"
-        )
+        raise WrongConstructionError("x is orthogonal to the code (y = 0); use construction II")
     return _assemble(c, ext, kind)
 
 
 def classify_extension(c: LinearCode, x: BitVector) -> ConstructionKind:
-    """Route x to the unique applicable construction among I/II/III.
-
-    IV shares its precondition with II/III and is never auto-selected;
-    ask for it explicitly.
-    """
+    """Route x to the unique applicable construction among I/II/III; IV
+    shares its precondition with II/III and is only built when asked for."""
     ext = ExtensionVector.bind(c, x)
     if ext.self_product:
         return ConstructionKind.I
     return ConstructionKind.II if ext.y.is_zero() else ConstructionKind.III
 
 
-def predict_distance(
-    c: LinearCode, x: BitVector, kind: ConstructionKind
-) -> DistancePrediction:
-    """Admissible child distances for (c, x, kind), without building the child.
-
-    When the covering radius of c is small enough to compute, the result
-    also carries the bracket [min(d, w+1), rho(C)+2] that must contain
-    every admissible value.
-    """
+def predict_distance(c: LinearCode, x: BitVector, kind: ConstructionKind) -> DistancePrediction:
+    """Admissible child distances for (c, x, kind), without building the
+    child; when the covering radius is in cap, with the bracket
+    [min(d, w+1), rho(C)+2] that holds every admissible value."""
     w = c.coset_min_weight(x).min_weight
     d = c.min_distance()
     values = admissible_distances(d, w, kind)

@@ -1,30 +1,26 @@
 """Linear codes over GF(2): duality, hull, distance, cosets, covering radius.
 
-A LinearCode wraps a full-rank generator matrix: the first independent
-input rows, by gf2's forward elimination (repaired if any was dropped).
-Derived data (hull dimension, dual, hull report, weight distribution)
-is computed on first request and cached; all cached values are
-immutable, so a warm cache never changes an answer.  The hull dimension
-is k - rank(G G^T) alone; the hull report's Zassenhaus basis, and the
-dual it needs, are built only when hull() is called, and a basis whose
-size disagrees with the Gram rank raises ClaimViolationError.
+A LinearCode holds a full-rank generator: the first independent input
+rows by gf2's forward elimination (repaired if any was dropped), and
+their echelon.  _of_basis skips the elimination for rows known to be
+independent: a nullspace basis, or a lengthened child whose rank
+buildup checks.  Derived data is computed on first request and cached,
+immutable.  The hull dimension is k - rank(G G^T); hull() adds a
+Zassenhaus basis and raises ClaimViolationError if its size disagrees.
 
-Weight distributions, coset leaders, equivalence profiles and the
-distances of exhaustive search's lanes read the 2^k codewords from one
-NumPy kernel, _codeword_chunks, in Gray order and in chunks of at most
-2^CHUNK_BITS words times lanes.  A code enumerates once: for k <=
-CHUNK_BITS its one chunk is the whole table (2 MB at most for n <= 64),
-cached read-only for its first three readers; above, each one streams.
-The covering radius reads a uint8 table of the 2^(n-k) syndromes
-instead, filled by _min_plus_pass once per distinct column of H; the
-sweep's coset kernel in search.py runs the same pass.
+The 2^k codewords come from one NumPy kernel, _codeword_chunks, in Gray
+order, in chunks of at most 2^CHUNK_BITS words times lanes; for k <=
+CHUNK_BITS a code caches its one chunk (2 MB at most for n <= 64) for
+its weights, coset leaders and equivalence profiles.  The covering
+radius fills a uint8 table of the 2^(n-k) syndromes by one
+_min_plus_pass per distinct column of H, as the sweep's coset kernel does.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -52,6 +48,7 @@ __all__ = [
 DEFAULT_MAX_K = 28
 SYNDROME_CAP = 24
 CHUNK_BITS = 18  # enumeration kernels hold at most 2^CHUNK_BITS words or lanes
+_GRAY_HEAD = 8  # one code's first rows of the table by one running XOR
 _MAX_K_ENV = "HULLFORGE_MAX_K"
 
 
@@ -69,10 +66,8 @@ def enumeration_cap() -> int:
 def _check_enum(k: int) -> None:
     cap = enumeration_cap()
     if k > cap:
-        raise ResourceLimitError(
-            f"enumeration over 2^{k} codewords exceeds cap k <= {cap}",
-            limit=cap, requested=k,
-        )
+        msg = f"enumeration over 2^{k} codewords exceeds cap k <= {cap}"
+        raise ResourceLimitError(msg, limit=cap, requested=k)
 
 
 @dataclass(frozen=True)
@@ -121,7 +116,9 @@ class CosetWeightProfile:
 def _limbs(values: Sequence[int], n: int) -> np.ndarray:
     """Packed n-bit ints as a (len(values), ceil(n/64)) array of uint64
     limbs, least significant first."""
-    nlimbs = max(1, -(-n // 64))
+    if n <= 64:
+        return np.array(values, dtype=np.uint64).reshape(len(values), 1)
+    nlimbs = -(-n // 64)
     data = b"".join(v.to_bytes(8 * nlimbs, "little") for v in values)
     return np.frombuffer(data, dtype="<u8").reshape(len(values), nlimbs)
 
@@ -132,26 +129,38 @@ def _weights(words: np.ndarray) -> np.ndarray:
     return counts[..., 0] if counts.shape[-1] == 1 else counts.sum(axis=-1, dtype=np.uint16)
 
 
-def _codeword_chunks(rows: Sequence[np.ndarray]) -> Iterator[np.ndarray]:
-    """All 2^k sums of the k rows, in chunks of
-    shape (words, *lanes, limbs): rows of shape (limbs,) from _limbs for
-    one code, or (lanes, 1) for one free row of many codes.  A chunk
-    holds at most 2^CHUNK_BITS words times lanes, and at least one word.
+@cache
+def _gray_steps() -> np.ndarray:
+    """The row changed at Gray step m = 1 .. 2^_GRAY_HEAD - 1: m's lowest set bit."""
+    m = np.arange(1, 1 << _GRAY_HEAD)
+    return (np.bitwise_count(m ^ (m - 1)) - 1).astype(np.intp)
 
-    The low rows build one table by reflected doubling: after row i it
-    is the table so far followed by the same table reversed and XORed
-    with row i, the binary-reflected Gray order.  The high rows then step
-    through their own Gray order, one row per step, and the odd steps
-    read the low table backwards, as the reflected order does.  Word m is
-    the sum of the rows at the set bits of m ^ (m >> 1).
+
+def _codeword_chunks(rows: Sequence[np.ndarray]) -> Iterator[np.ndarray]:
+    """All 2^k sums of the k rows, word m being the sum of the rows at the
+    set bits of m ^ (m >> 1), in chunks of shape (words, *lanes, limbs) of
+    at most 2^CHUNK_BITS words times lanes (and at least one word).  Rows:
+    the (k, limbs) array from _limbs for one code, or a list of (lanes, 1)
+    arrays for one free row of many codes.
+
+    The low rows build one table: word m is word m - 1 XOR the row at the
+    lowest set bit of m, so one code's first _GRAY_HEAD rows take one
+    gather and one running XOR; each later row i appends the table so far
+    reversed and XORed with row i.  The high rows step through their own
+    Gray order, and the odd steps read the low table backwards.
     """
     k = len(rows)
     _check_enum(k)
     shape = rows[0].shape
     lanes = rows[0].size // shape[-1]
     low = min(k, max(0, CHUNK_BITS - (lanes - 1).bit_length()))
-    table = np.zeros((1 << low, *shape), dtype=rows[0].dtype)
-    for i in range(low):
+    table = np.empty((1 << low, *shape), dtype=rows[0].dtype)
+    table[0] = 0
+    head = min(low, _GRAY_HEAD) if isinstance(rows, np.ndarray) else 0
+    if head:
+        table[1 : 1 << head] = rows[_gray_steps()[: (1 << head) - 1]]
+        np.bitwise_xor.accumulate(table[: 1 << head], axis=0, out=table[: 1 << head])
+    for i in range(head, low):
         np.bitwise_xor(table[(1 << i) - 1 :: -1], rows[i], out=table[1 << i : 2 << i])
     yield table
     acc = np.zeros(shape, dtype=rows[0].dtype)
@@ -160,10 +169,14 @@ def _codeword_chunks(rows: Sequence[np.ndarray]) -> Iterator[np.ndarray]:
         yield (table[::-1] if m & 1 else table) ^ acc
 
 
-def _min_plus_pass(cube: np.ndarray, axes: tuple[int, ...]) -> None:
-    """d = min(d, d[s ^ m] + 1) in place over a bit cube (or a basic-slice
-    view of one), for the move m that flips the given axes."""
-    np.minimum(cube, np.flip(cube, axes) + 1, out=cube)
+_FLIP = {"0": slice(None), "1": slice(None, None, -1)}
+
+
+def _min_plus_pass(cube: np.ndarray, move: int) -> None:
+    """d[s] = min(d[s], d[s ^ move] + 1) in place over a bit cube (or a
+    basic-slice view of one), s its C-order index: the view d[s ^ move]
+    reverses the axes of move's set bits, the last axis holding bit 0."""
+    np.minimum(cube, cube[tuple(map(_FLIP.get, format(move, f"0{cube.ndim}b")))] + 1, out=cube)
 
 
 class LinearCode:
@@ -184,6 +197,19 @@ class LinearCode:
         self.gen = gen
         self.n = gen.ncols
         self.k = gen.nrows
+        self._echelon = tuple(basis)
+
+    @classmethod
+    def _of_basis(cls, gen: BitMatrix) -> "LinearCode":
+        """The code of rows known to be independent, without an elimination."""
+        code = cls.__new__(cls)
+        code.gen, code.n, code.k, code.repaired = gen, gen.ncols, gen.nrows, False
+        return code
+
+    @cached_property
+    def _echelon(self) -> tuple[int, ...]:
+        """Echelon rows: v reduces to 0 against them iff v is a codeword."""
+        return tuple(gf2._echelon(self.gen.row_bits))
 
     # --- construction helpers -------------------------------------------
 
@@ -212,7 +238,10 @@ class LinearCode:
     def _dual_code(self) -> "LinearCode":
         if self.k == self.n:
             raise InvalidCodeError("full-space code has a 0-dimensional dual")
-        return LinearCode(gf2.nullspace_basis(self.gen))
+        h = gf2.nullspace_basis(self.gen)
+        if h.nrows != self.n - self.k:  # independent rows: each holds its own free column
+            raise ClaimViolationError(f"[{self.n},{self.k}] code: dual has {h.nrows} rows")
+        return LinearCode._of_basis(h)
 
     def dual(self) -> "LinearCode":
         return self._dual_code
@@ -231,23 +260,17 @@ class LinearCode:
     @cached_property
     def _hull_report(self) -> HullReport:
         h = self.hull_dim()
-        if self.k == self.n:
-            # dual is {0}; the intersection is empty
+        if self.k == self.n:  # the dual is {0}
             basis = BitMatrix(self.n, ())
         else:
             basis = gf2.row_space_intersection(self.gen, self.dual().gen)
         if basis.nrows != h:
             raise ClaimViolationError(
-                f"hull disagreement: product rank gives {h}, "
-                f"intersection gives {basis.nrows}"
+                f"hull disagreement: product rank gives {h}, intersection gives {basis.nrows}"
             )
-        return HullReport(
-            h=h,
-            basis=basis,
-            is_lcd=h == 0,
-            is_self_orthogonal=h == self.k,
-            is_self_dual=h == self.k and self.n == 2 * self.k,
-        )
+        self_orth = h == self.k
+        return HullReport(h=h, basis=basis, is_lcd=h == 0, is_self_orthogonal=self_orth,
+                          is_self_dual=self_orth and self.n == 2 * self.k)
 
     def hull(self) -> HullReport:
         """Hull report with a Zassenhaus basis of C ∩ C⊥, built on first call."""
@@ -269,9 +292,10 @@ class LinearCode:
 
     @cached_property
     def _weight_distribution(self) -> WeightDistribution:
-        counts = np.zeros(self.n + 1, dtype=np.int64)
-        for words in self._codewords():
-            counts += np.bincount(_weights(words), minlength=self.n + 1)
+        if self.k <= CHUNK_BITS and self.n <= 64:  # one chunk of one limb
+            counts = np.bincount(np.bitwise_count(self._table).ravel(), minlength=self.n + 1)
+        else:
+            counts = sum(np.bincount(_weights(w), minlength=self.n + 1) for w in self._codewords())
         return WeightDistribution(tuple((w, c) for w, c in enumerate(counts.tolist()) if c))
 
     def weight_distribution(self) -> WeightDistribution:
@@ -308,17 +332,15 @@ class LinearCode:
         if r == 0:
             return 0
         if r > SYNDROME_CAP:
-            raise ResourceLimitError(
-                f"syndrome table of 2^{r} entries exceeds cap n-k <= {SYNDROME_CAP}",
-                limit=SYNDROME_CAP, requested=r,
-            )
+            msg = f"syndrome table of 2^{r} entries exceeds cap n-k <= {SYNDROME_CAP}"
+            raise ResourceLimitError(msg, limit=SYNDROME_CAP, requested=r)
         # a leader weighs at most rank H <= r, so r + 1 marks the unreached
         # and r + 2 still fits in uint8 (n + 1 would wrap from n = 255)
         dist = np.full(1 << r, r + 1, dtype=np.uint8)
         dist[0] = 0
-        cube = dist.reshape((2,) * r)  # axis r - 1 - i holds syndrome bit i
+        cube = dist.reshape((2,) * r)
         for s in set(gf2.transpose(self.parity_check()).row_bits) - {0}:
-            _min_plus_pass(cube, tuple(r - 1 - i for i in range(r) if s >> i & 1))
+            _min_plus_pass(cube, s)
         remaining = int(np.count_nonzero(dist > r))
         if remaining:
             raise ClaimViolationError(
@@ -338,6 +360,5 @@ class LinearCode:
             raise DimensionError("augmenting vector has wrong length")
         if self.contains(v):
             raise NoRankGainError("vector already lies in the code")
-        rows = [1 | (v.bits << 1)]
-        rows += [b << 1 for b in self.gen.row_bits]
-        return LinearCode(BitMatrix(self.n + 1, tuple(rows)))
+        rows = (1 | v.bits << 1, *(b << 1 for b in self.gen.row_bits))
+        return LinearCode(BitMatrix(self.n + 1, rows))

@@ -1,12 +1,10 @@
-"""Word-packed exact linear algebra over GF(2).
+"""Word-packed exact linear algebra over GF(2), at any length.
 
-Vectors and matrices are stored as Python integers, one bit per
-coordinate, with bit i holding coordinate i (so the leftmost character
-of the text form "0110.." is bit 0).  Arbitrary lengths are supported;
-everything here is exact.
-One forward elimination (_echelon) serves rank, membership and the
-Zassenhaus intersection; the RREF is its back-substitution
-(_back_substitute), and every parity product v · R^T is _products.
+Bit i of a packed int holds coordinate i, the leftmost character of the
+text form "0110..".  One forward elimination (_echelon) serves rank,
+membership and the Zassenhaus intersection, the RREF is its
+back-substitution, and every parity product v · R^T is _products.  The
+results of the operations here skip BitMatrix's checks (_matrix).
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# raw-integer kernels; row lists are little-endian packed ints
+# raw-integer kernels
 
 
 def bits_from01(s: str) -> int:
@@ -48,7 +46,7 @@ def parity(x: int) -> int:
     return x.bit_count() & 1
 
 
-def _reduce_against(basis: list[int], v: int) -> int:
+def _reduce_against(basis: Sequence[int], v: int) -> int:
     """Reduce v against echelon basis rows (each with a unique low bit)."""
     for b in basis:
         if v & b & -b:  # v holds b's pivot
@@ -68,9 +66,8 @@ def _echelon(rows: Iterable[int]) -> list[int]:
 
 
 def _back_substitute(rows: Iterable[int]) -> list[int]:
-    """The RREF of echelon rows (nonzero, with distinct lowest set bits):
-    sort them by pivot, then clear each pivot from the rows above it,
-    last first."""
+    """The RREF of echelon rows: sorted by pivot, each pivot then cleared
+    from the rows above it, last first."""
     out = sorted(rows, key=lambda r: r & -r)
     for i in range(len(out) - 1, 0, -1):
         low = out[i] & -out[i]
@@ -81,8 +78,7 @@ def _back_substitute(rows: Iterable[int]) -> list[int]:
 
 
 def _rref_ints(rows: Sequence[int]) -> tuple[list[int], list[int]]:
-    """Reduced row echelon form.  Returns (rows, pivot columns); zero
-    rows pad it to the input's row count."""
+    """(RREF rows padded with zero rows to the input's count, pivot columns)."""
     out = _back_substitute(_echelon(rows))
     pivots = [(r & -r).bit_length() - 1 for r in out]
     return out + [0] * (len(rows) - len(out)), pivots
@@ -190,6 +186,14 @@ class BitMatrix:
         return "\n".join(self.to_strings())
 
 
+def _matrix(ncols: int, rows: tuple[int, ...]) -> BitMatrix:
+    """A BitMatrix without the constructor's checks, for rows built to fit."""
+    m = object.__new__(BitMatrix)
+    object.__setattr__(m, "ncols", ncols)
+    object.__setattr__(m, "row_bits", rows)
+    return m
+
+
 # ---------------------------------------------------------------------------
 # operations
 
@@ -200,17 +204,18 @@ def rank(m: BitMatrix) -> int:
 
 def row_basis(m: BitMatrix) -> BitMatrix:
     """RREF with zero rows dropped: the canonical basis of the row space."""
-    return BitMatrix(m.ncols, tuple(_back_substitute(_echelon(m.row_bits))))
+    return _matrix(m.ncols, tuple(_back_substitute(_echelon(m.row_bits))))
 
 
 def transpose(m: BitMatrix) -> BitMatrix:
-    cols = []
-    for j in range(m.ncols):
-        v = 0
-        for i, row in enumerate(m.row_bits):
-            v |= (row >> j & 1) << i
-        cols.append(v)
-    return BitMatrix(m.nrows, tuple(cols))
+    cols = [0] * m.ncols
+    for i, row in enumerate(m.row_bits):
+        bit = 1 << i
+        while row:  # one step per set bit
+            low = row & -row
+            cols[low.bit_length() - 1] |= bit
+            row ^= low
+    return _matrix(m.nrows, tuple(cols))
 
 
 def mat_mul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
@@ -218,30 +223,32 @@ def mat_mul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
     b's rows selected by row i of a."""
     if a.ncols != b.nrows:
         raise DimensionError(f"inner dimensions differ: {a.ncols} vs {b.nrows}")
-    out = []
+    rows, out = b.row_bits, []
     for sel in a.row_bits:
         acc = 0
-        x = sel
-        while x:
-            i = (x & -x).bit_length() - 1
-            acc ^= b.row_bits[i]
-            x &= x - 1
+        while sel:
+            low = sel & -sel
+            acc ^= rows[low.bit_length() - 1]
+            sel ^= low
         out.append(acc)
-    return BitMatrix(b.ncols, tuple(out))
+    return _matrix(b.ncols, tuple(out))
 
 
 def gram(m: BitMatrix) -> BitMatrix:
-    """m · m^T without materializing the transpose."""
-    return BitMatrix(m.nrows, tuple(_products(a, m.row_bits) for a in m.row_bits))
+    """m · m^T: the upper triangle, mirrored."""
+    rows = m.row_bits
+    out = [0] * len(rows)
+    for i, a in enumerate(rows):
+        for j in range(i, len(rows)):
+            if (a & rows[j]).bit_count() & 1:
+                out[i] |= 1 << j
+                out[j] |= 1 << i
+    return _matrix(m.nrows, tuple(out))
 
 
 def nullspace_basis(m: BitMatrix) -> BitMatrix:
-    """Basis of the right nullspace: m · result^T = 0.
-
-    Rows are emitted in order of the free column they are built from,
-    so the result is deterministic.  An empty constraint set yields the
-    identity; a full-rank square matrix yields a 0×n result.
-    """
+    """Basis of the right nullspace (m · result^T = 0), one row per free
+    column in column order: the identity for no rows, 0×n for full rank."""
     n = m.ncols
     rows, pivots = _rref_ints(m.row_bits)
     pivot_set = set(pivots)
@@ -254,23 +261,22 @@ def nullspace_basis(m: BitMatrix) -> BitMatrix:
             if rows[r] >> f & 1:
                 v |= 1 << p
         basis.append(v)
-    return BitMatrix(n, tuple(basis))
+    return _matrix(n, tuple(basis))
 
 
 def row_space_intersection(a: BitMatrix, b: BitMatrix) -> BitMatrix:
     """Basis of rowspace(a) ∩ rowspace(b) by the Zassenhaus construction.
 
-    Stack (u | u) for u in a over (v | 0) for v in b and bring it to
-    echelon form; the right halves of the rows whose left half vanished
-    span exactly the intersection.  Their pivots lie in the right half
-    and are distinct, so they are already in echelon form and one
-    back-substitution makes that basis canonical.
+    In an echelon form of (u | u) for u in a over (v | 0) for v in b, the
+    right halves of the rows whose left half vanished span exactly the
+    intersection; their pivots are distinct, so one back-substitution
+    makes that basis canonical.
     """
     if a.ncols != b.ncols:
         raise DimensionError("width mismatch")
     n = a.ncols
     rows = _echelon([u | (u << n) for u in a.row_bits] + list(b.row_bits))
-    return BitMatrix(n, tuple(_back_substitute(r >> n for r in rows if r >> n << n == r)))
+    return _matrix(n, tuple(_back_substitute(r >> n for r in rows if r >> n << n == r)))
 
 
 def in_row_space(m: BitMatrix, v: BitVector) -> bool:

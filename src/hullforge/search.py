@@ -195,12 +195,11 @@ def _coset_leader_weights(reduced: list[int], n: int) -> np.ndarray:
     dist = np.full(2 << n, n + 2, dtype=np.uint8)  # above every coset weight
     dist[: 1 << k] = 0
     cube = dist.reshape((2,) * (n + 1))  # axis n - b holds state bit b
-    for axis in range(n - k + 1):  # c, then the free bits
-        _min_plus_pass(cube, (axis,))
+    for b in range(n, k - 1, -1):  # c, then the free bits
+        _min_plus_pass(cube, 1 << b)
     for i, part in enumerate(reduced):
-        axes = tuple(n - k - j for j in range(n - k) if part >> j & 1)
-        for yi in (0, 1):  # the half with y_i = yi; its moves flip lower axes only
-            _min_plus_pass(cube[(slice(None),) * (n - i) + (yi,)], axes + (0,) * yi)
+        for yi in (0, 1):  # the half with y_i = yi, state bit i dropped: the move shifts down one
+            _min_plus_pass(cube[(slice(None),) * (n - i) + (yi,)], (part << k | yi << n) >> 1)
     return dist
 
 

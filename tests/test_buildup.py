@@ -10,8 +10,10 @@ import textwrap
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hullforge import corpus, gf2
+from hullforge import buildup, corpus, gf2
 from hullforge.buildup import (
     BuildResult,
     ConstructionKind,
@@ -400,3 +402,73 @@ def test_claim_checks_survive_optimization():
     )
     assert proc.returncode != 0
     assert "ClaimViolationError" in proc.stderr
+
+
+@st.composite
+def seeds_and_extensions(draw):
+    """A random seed (possibly repaired, possibly the full space), an x
+    and a construction kind that x admits."""
+    n = draw(st.integers(1, 12))
+    k = draw(st.integers(1, n))
+    rows = draw(st.lists(st.integers(1, (1 << n) - 1), min_size=k, max_size=k))
+    seed = LinearCode(BitMatrix(n, tuple(rows)))
+    x = BitVector(n, draw(st.integers(0, (1 << n) - 1)))
+    kind = classify_extension(seed, x)
+    if kind is not ConstructionKind.I and draw(st.booleans()):
+        kind = ConstructionKind.IV
+    return seed, x, kind
+
+
+def _fields(c: LinearCode):
+    return c.gen, c.n, c.k, c.repaired
+
+
+@settings(max_examples=300, deadline=None)
+@given(seeds_and_extensions())
+def test_private_construction_matches_the_public_constructor(case):
+    # construct() builds the child, and every dual, without an elimination
+    seed, x, kind = case
+    child = construct(seed, x, kind).child
+    public = LinearCode(BitMatrix(seed.n + 2, child.gen.row_bits))
+    assert _fields(child) == _fields(public)
+    assert child.hull_dim() == public.hull_dim()
+    for c in (seed, child):
+        if c.k < c.n:
+            assert _fields(c._dual_code) == _fields(LinearCode(gf2.nullspace_basis(c.gen)))
+
+
+# construct() with kind IV's heads zeroed, so that the child's top row is
+# x under two zero coordinates: the child rank check has to catch it.
+DROPPED_HEADS = textwrap.dedent(
+    """
+    from hullforge import buildup
+    from hullforge.buildup import ConstructionKind, construct
+    from hullforge.code import LinearCode
+    from hullforge.gf2 import BitVector
+
+    seed = LinearCode.from_strings(%r)
+    x = next(r for r in seed.gen.row_bits if r.bit_count() %% 2 == 0)
+    buildup._HEADS[ConstructionKind.IV] = (0, 0, 2, 3)
+    construct(seed, BitVector(seed.n, x), ConstructionKind.IV)
+    """
+    % SEED_10_6_3
+)
+
+
+def test_child_rank_check_catches_a_dependent_top_row(seed, monkeypatch):
+    monkeypatch.setitem(buildup._HEADS, ConstructionKind.IV, (0, 0, 2, 3))
+    x = next(r for r in seed.gen.row_bits if r.bit_count() % 2 == 0)
+    with pytest.raises(ClaimViolationError, match=r"construction IV: child rank 6, not 7"):
+        construct(seed, BitVector(seed.n, x), ConstructionKind.IV)
+
+
+def test_child_rank_check_survives_optimization():
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", DROPPED_HEADS],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode != 0
+    assert "ClaimViolationError: construction IV: child rank 6, not 7" in proc.stderr

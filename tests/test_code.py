@@ -11,6 +11,7 @@ import time
 from itertools import combinations
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -590,3 +591,89 @@ def test_codeword_kernel_checks_the_enumeration_cap(monkeypatch):
     with pytest.raises(ResourceLimitError) as err:
         next(code_mod._codeword_chunks(code_mod._limbs(rows, 40)))
     assert (err.value.limit, err.value.requested) == (3, 40)
+
+
+def _gray_sum(rows, m: int):
+    # word m of the codeword table, by its definition
+    g, word = m ^ (m >> 1), 0
+    for i, r in enumerate(rows):
+        if g >> i & 1:
+            word ^= r
+    return word
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 70), st.integers(1, 11), st.integers(1, 11), st.data())
+def test_codeword_chunks_follow_the_gray_definition(n, k, bits, data):
+    # the code path: one code's limbs, past the gathered head when bits > 8
+    rows = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=k, max_size=k))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(code_mod, "CHUNK_BITS", bits)
+        table = np.concatenate(list(code_mod._codeword_chunks(code_mod._limbs(rows, n))))
+    words = [int.from_bytes(w.astype("<u8").tobytes(), "little") for w in table]
+    assert words == [_gray_sum(rows, m) for m in range(1 << k)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 9), st.integers(1, 6), st.data())
+def test_lane_chunks_follow_the_gray_definition(lanes, k, bits, data):
+    # the lane path: one (lanes, 1) row per free row of many codes
+    lane_rows = data.draw(
+        st.lists(st.lists(st.integers(0, (1 << 64) - 1), min_size=lanes, max_size=lanes),
+                 min_size=k, max_size=k)
+    )
+    rows = [np.array(r, dtype=np.uint64)[:, None] for r in lane_rows]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(code_mod, "CHUNK_BITS", bits)
+        table = np.concatenate(list(code_mod._codeword_chunks(rows)))
+    assert table.shape == (1 << k, lanes, 1)
+    for lane in range(lanes):
+        column = [r[lane] for r in lane_rows]
+        assert table[:, lane, 0].tolist() == [_gray_sum(column, m) for m in range(1 << k)]
+
+
+def _flip_pass(cube, axes):
+    # the np.flip form of the min-plus pass, kept as its oracle
+    np.minimum(cube, np.flip(cube, axes) + 1, out=cube)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 9), st.data())
+def test_min_plus_pass_matches_the_flip_definition(r, data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    dist = rng.integers(0, r + 2, size=1 << r, dtype=np.uint8)
+    move = data.draw(st.integers(0, (1 << r) - 1))
+    got, want = dist.reshape((2,) * r).copy(), dist.reshape((2,) * r).copy()
+    code_mod._min_plus_pass(got, move)
+    _flip_pass(want, tuple(r - 1 - i for i in range(r) if move >> i & 1))
+    assert np.array_equal(got, want)
+    s = np.arange(1 << r)
+    assert np.array_equal(got.ravel(), np.minimum(dist, dist[s ^ move] + 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 8), st.data())
+def test_min_plus_pass_on_the_sweeps_views(n, data):
+    # search._coset_leader_weights passes the half of the state cube with
+    # state bit i fixed to yi, a non-contiguous view
+    k = data.draw(st.integers(1, n))
+    i, yi = data.draw(st.integers(0, k - 1)), data.draw(st.integers(0, 1))
+    part = data.draw(st.integers(0, (1 << (n - k)) - 1))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    dist = rng.integers(0, n + 3, size=2 << n, dtype=np.uint8)
+    got, want = dist.reshape((2,) * (n + 1)).copy(), dist.reshape((2,) * (n + 1)).copy()
+    half = (slice(None),) * (n - i) + (yi,)
+    assert not got[half].flags.c_contiguous
+    code_mod._min_plus_pass(got[half], (part << k | yi << n) >> 1)
+    axes = tuple(n - k - j for j in range(n - k) if part >> j & 1) + (0,) * yi
+    _flip_pass(want[half], axes)
+    assert np.array_equal(got, want)
+
+
+def test_dual_row_count_is_checked(monkeypatch):
+    # the dual skips LinearCode's elimination, so a short nullspace must raise
+    c = LinearCode.from_strings(SEED_10_6_3)
+    real = gf2.nullspace_basis
+    monkeypatch.setattr(gf2, "nullspace_basis", lambda m: BitMatrix(m.ncols, real(m).row_bits[1:]))
+    with pytest.raises(ClaimViolationError, match=r"\[10,6\] code: dual has 3 rows"):
+        c.dual()

@@ -415,3 +415,56 @@ def test_products_match_the_parity_loop(case, data):
     assert g.row_bits == tuple(
         sum(gf2.parity(a & b) << j for j, b in enumerate(rows)) for a in rows
     )
+
+
+@st.composite
+def bit_matrices(draw, nrows=None, max_rows=6):
+    """Widths 0-70 (past one 64-bit limb); rows are often zero."""
+    ncols = draw(st.integers(0, 70))
+    if nrows is None:
+        nrows = draw(st.integers(0, max_rows))
+    row = st.one_of(st.just(0), st.integers(0, (1 << ncols) - 1))
+    return BitMatrix(ncols, tuple(draw(st.lists(row, min_size=nrows, max_size=nrows))))
+
+
+def _entry(m: BitMatrix, i: int, j: int) -> int:
+    return m.row_bits[i] >> j & 1
+
+
+def _checked(m: BitMatrix) -> BitMatrix:
+    # the public constructor's width checks, which gf2's own results skip
+    assert BitMatrix(m.ncols, m.row_bits) == m
+    return m
+
+
+@given(bit_matrices())
+@settings(max_examples=200, deadline=None)
+def test_transpose_matches_its_definition(m):
+    t = _checked(gf2.transpose(m))
+    assert (t.nrows, t.ncols) == (m.ncols, m.nrows)
+    for i in range(m.nrows):
+        for j in range(m.ncols):
+            assert _entry(t, j, i) == _entry(m, i, j)
+
+
+@given(bit_matrices(max_rows=10))
+@settings(max_examples=200, deadline=None)
+def test_gram_matches_its_definition(m):
+    g = _checked(gf2.gram(m))
+    assert (g.nrows, g.ncols) == (m.nrows, m.nrows)
+    for i in range(m.nrows):
+        for j in range(m.nrows):
+            want = sum(_entry(m, i, c) & _entry(m, j, c) for c in range(m.ncols)) & 1
+            assert _entry(g, i, j) == want
+
+
+@given(bit_matrices(max_rows=4), st.data())
+@settings(max_examples=200, deadline=None)
+def test_mat_mul_matches_its_definition(a, data):
+    b = data.draw(bit_matrices(nrows=a.ncols))
+    p = _checked(gf2.mat_mul(a, b))
+    assert (p.nrows, p.ncols) == (a.nrows, b.ncols)
+    for i in range(a.nrows):
+        for j in range(b.ncols):
+            want = sum(_entry(a, i, t) & _entry(b, t, j) for t in range(a.ncols)) & 1
+            assert _entry(p, i, j) == want
