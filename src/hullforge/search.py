@@ -4,10 +4,11 @@ A sweep's reference path builds each child with construct(); its fast
 path reads every child's distance and hull from tables of the seed
 (_coset_scan, _rank3_table), writes each kept child's RREF in closed form
 (_child_echelon), checks it, and renders the lines a chunk at a time.
-Exhaustive search runs the codeword kernel over lanes of sorted free
-blocks, in floor passes from the Griesmer bound; the census walks the
-congruence classes of I + AA^T (_census_walk) and checks each
-nonexistence.  Equivalence search backtracks over column profiles.
+Exhaustive search runs the codeword kernel over the hull-h lanes of
+sorted free blocks (small sorted-tuple tables kept for the process), in
+floor passes from the Griesmer bound; the census walks the congruence
+classes of I + AA^T (_census_walk) and checks each nonexistence.
+Equivalence search backtracks over column profiles.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ __all__ = [
 SWEEP_CAP = 20
 EXHAUSTIVE_CAP = 22
 EQUIV_CAP = 16
+_TABLE_BYTES = 128 << 10  # _sorted_blocks keeps the sorted-tuple tables this small
 SYM_RANK_CAP = 6  # _sym_rank_lut(t) fills 2^(t(t+1)/2) lanes: 0.7 s at t=6, 2^28 at 7
 NODE_CAP = 10_000_000
 RENDER_CHUNK = 256  # sweep records per text pass: larger chunks raise the peak RSS
@@ -601,26 +603,37 @@ def _hull_dims(rows: list[np.ndarray], k: int, m: int) -> np.ndarray:
     return (t - lut[idx]).astype(np.uint8)
 
 
+@lru_cache(maxsize=CHUNK_BITS + 1)
+def _gray_weights(length: int) -> np.ndarray:
+    """wt(t ^ t >> 1) for t < length, read-only: the message weights of
+    the first chunk of code._codeword_chunks."""
+    t = np.arange(length, dtype=np.uint64)
+    weights = np.bitwise_count(t ^ t >> 1)
+    weights.flags.writeable = False
+    return weights
+
+
 def _min_distances(rows: list[np.ndarray]) -> np.ndarray:
     """Per-lane minimum weight of the nonzero codewords of [I | A]: the
     free rows' sums from code._codeword_chunks plus the weight of the
-    message at each Gray position t, that of t ^ t >> 1."""
+    message at each Gray position: in chunk c, the first chunk's
+    (reversed when c is odd, as the chunks read the table) plus wt(c ^ c >> 1)."""
     best = np.full(rows[0].shape, 255, dtype=np.uint8)
-    start = 0
-    for words in _codeword_chunks([r[:, None] for r in rows]):
-        t = np.arange(start, start + len(words), dtype=np.uint64)
-        weights = _weights(words) + np.bitwise_count(t ^ t >> 1)[:, None]
-        if not start:
+    for c, words in enumerate(_codeword_chunks([r[:, None] for r in rows])):
+        message = _gray_weights(len(words))
+        if c:
+            message = (message[::-1] if c & 1 else message) + (c ^ c >> 1).bit_count()
+        weights = _weights(words) + message[:, None]
+        if not c:
             weights[0] = 255  # the zero message
         np.minimum(best, weights.min(axis=0), out=best)
-        start += len(words)
     return best
 
 
-def _sorted_table(r: int, size: int, dtype) -> tuple[list[np.ndarray], np.ndarray]:
+def _sorted_table(r: int, size: int, dtype) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     """Every non-decreasing r-tuple over range(size), in lexicographic
-    order, as r row arrays; above[v] counts those starting at v or higher,
-    which are v before the last above[v] tuples one entry shorter."""
+    order, as r read-only row arrays; above[v] counts those starting at v
+    or higher, which are v before the last above[v] tuples one entry shorter."""
     values = np.arange(size, dtype=dtype)
     rows, above = [values], np.arange(size, 0, -1)
     for _ in range(r - 1):
@@ -628,7 +641,14 @@ def _sorted_table(r: int, size: int, dtype) -> tuple[list[np.ndarray], np.ndarra
         idx = np.arange(ends[-1]) + np.repeat(above[0] - ends, above)
         rows = [np.repeat(values, above)] + [row[idx] for row in rows]
         above = np.cumsum(above[::-1])[::-1]
-    return rows, above
+    for array in (*rows, above):
+        array.flags.writeable = False
+    return tuple(rows), above
+
+
+# 8 MB at most; one round of the in-cap cells cycles through 36 tables,
+# and an LRU cache with fewer slots than a cycle misses on every lookup
+_kept_table = lru_cache(maxsize=64)(_sorted_table)
 
 
 def _sorted_blocks(k: int, size: int, dtype, values=None, strict: int = 0) -> Iterator[list]:
@@ -636,7 +656,8 @@ def _sorted_blocks(k: int, size: int, dtype, values=None, strict: int = 0) -> It
     order and chunks of at most 2^CHUNK_BITS lanes; given values, entry t
     reads values[i_t + strict t].  Index heads come from this generator,
     each followed by the last above[v] tuples of one _sorted_table, v its
-    last entry (range(size) itself for one row), mapped once."""
+    last entry (range(size) itself for one row), mapped once; tables of
+    at most _TABLE_BYTES come from _kept_table."""
     def lift(t, row):  # the entry at tuple position t
         return row if values is None else values[strict * t :].take(row)
 
@@ -645,7 +666,8 @@ def _sorted_blocks(k: int, size: int, dtype, values=None, strict: int = 0) -> It
     while r > 1 and comb(size + r - 1, r) > limit:
         r -= 1
     if r > 1:
-        table, above = _sorted_table(r, size, dtype)
+        small = r * dtype.itemsize * comb(size + r - 1, r) + 8 * size <= _TABLE_BYTES
+        table, above = (_kept_table if small else _sorted_table)(r, size, dtype)
     else:
         table, above = [np.arange(size, dtype=dtype)], None
     table = [lift(t, row) for t, row in enumerate(table, k - r)]
@@ -786,12 +808,13 @@ def hull_census(n: int, k: int, cap: int | None = None) -> dict[int, int]:
 def _best_lane(blocks, by_columns: bool, k: int, m: int, h: int):
     """The max d over the lanes with hull dimension h, 0 if none, and its
     witness block: the first max-d row lane, or _least_block over the
-    column orders of the max-d column lanes."""
+    column orders of the max-d column lanes.  Each chunk's hull-h lanes
+    are taken once, by index, in their order."""
     best_d, best_free = 0, None
     for words in blocks:
         rows = _transpose_lanes(words, k) if by_columns else words
-        keep = _hull_dims(rows, k, m) == h
-        if not keep.any():
+        keep = np.flatnonzero(_hull_dims(rows, k, m) == h)  # one index per chunk
+        if not keep.size:
             continue
         rows = [r[keep] for r in rows]
         dists = _min_distances(rows)
@@ -800,7 +823,8 @@ def _best_lane(blocks, by_columns: bool, k: int, m: int, h: int):
         if top < best_d:
             continue
         if by_columns:
-            free = _least_block([c[keep][dists == top] for c in words], k, m)
+            keep = keep[dists == top]
+            free = _least_block([c[keep] for c in words], k, m)
         else:  # the first max-d row lane; a later one only wins with a larger d
             free = tuple(int(r[at]) for r in rows)
         if top > best_d or free < best_free:

@@ -252,6 +252,24 @@ def test_criterion_5_cells_past_the_cap(table_id, cell):
         assert claim.d_best == FOUND_PAST_BOUND[(table_id, cell.n, cell.k)]
 
 
+# the (11, 5) cell of each odd table: column-side lanes, raised cap 30
+CELLS_11_5 = [
+    (table_id, cell)
+    for table_id, cells in sorted(_cells_by_table().items())
+    if table_id in ODD_TABLE_HULL
+    for cell in cells
+    if (cell.n, cell.k) == (11, 5)
+]
+
+
+@pytest.mark.parametrize("table_id, cell", CELLS_11_5, ids=[t for t, _ in CELLS_11_5])
+def test_criterion_5_eleven_five_cells(table_id, cell):
+    assert len(CELLS_11_5) == 5
+    claim = exhaustive_codes(11, 5, ODD_TABLE_HULL[table_id], cap=30)
+    assert cell.exact
+    assert (claim.status, claim.d_best) == ("h_optimal", cell.d)
+
+
 def test_criterion_6_quantum_reproduction():
     grouped = _cells_by_table()
     witnessed = 0

@@ -1020,6 +1020,59 @@ def test_exhaustive_column_side_matches_oracle(shape, chunk_bits, data):
         assert claim.witness.to_strings() == witness
 
 
+# every k >= m shape with k(n-k) <= 12 and n <= 8, as the oracle test draws
+ROW_SHAPES = [(k, m) for k in range(1, 8) for m in range(1, min(k, 12 // k, 8 - k) + 1)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(ROW_SHAPES), st.integers(0, 4), st.data())
+def test_exhaustive_row_side_across_chunks_matches_oracle(shape, chunk_bits, data):
+    # chunks of at most 16 lanes put every row shape past the break-even,
+    # so the floor passes and each chunk's hull-h index run over many chunks
+    k, m = shape
+    h = data.draw(st.integers(0, min(k, m) + 1), label="h")
+    with pytest.MonkeyPatch.context() as mp:
+        _column_chunks(mp, chunk_bits)
+        assert search._by_columns(k, m) == (False, True)
+        claim = exhaustive_codes(k + m, k, h)
+    d, witness = _oracle_claim(k + m, k, h)
+    assert claim.d_best == d
+    if witness is None:
+        assert claim.status == "nonexistence" and claim.witness is None
+    else:
+        assert claim.status == "h_optimal"
+        assert claim.witness.to_strings() == witness
+
+
+def test_small_sorted_tables_are_kept_read_only():
+    blocks = list(search._sorted_blocks(3, 6, np.dtype(np.uint8)))
+    rows, above = search._kept_table(3, 6, np.dtype(np.uint8))
+    assert len(blocks) == 1 and all(got is row for got, row in zip(blocks[0], rows, strict=True))
+    assert search._kept_table(3, 6, np.dtype(np.uint8))[0] is rows
+    for array in (*rows, above):
+        with pytest.raises(ValueError):
+            array[0] = 1
+    fresh_rows, fresh_above = search._sorted_table(3, 6, np.uint8)
+    assert len(rows) == len(fresh_rows) == 3
+    for got, want in zip(rows, fresh_rows):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(above, fresh_above)
+
+
+def test_large_sorted_tables_are_not_kept():
+    # C(513, 2) pairs of uint16 entries: 525,312 bytes, past the bound,
+    # and one chunk of 131,328 lanes
+    assert 2 * 2 * comb(513, 2) > search._TABLE_BYTES
+    before = search._kept_table.cache_info()
+    (rows,) = search._sorted_blocks(2, 512, np.dtype(np.uint16))
+    after = search._kept_table.cache_info()
+    assert after.currsize == before.currsize
+    assert (after.hits, after.misses) == (before.hits, before.misses)
+    assert rows[0].size == comb(513, 2)
+    assert list(zip(rows[0][:3].tolist(), rows[1][:3].tolist())) == [(0, 0), (0, 1), (0, 2)]
+
+
 def test_census_column_side_matches_reference():
     # the shapes the sorted-block census took from the column side
     for k, m in COLUMN_SHAPES:
